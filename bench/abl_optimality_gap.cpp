@@ -1,7 +1,6 @@
 // Ablation: optimality gap.  Compares GE's online, non-preemptive,
 // partitioned schedule against the clairvoyant fluid YDS reference
-// (offline_reference.h) on identical traces.  Short horizons keep the
-// O(n^2)-per-round YDS affordable.
+// (offline_reference.h) on identical traces.
 #include <cstdio>
 
 #include "exp/offline_reference.h"
@@ -13,8 +12,8 @@ int main(int argc, char** argv) {
   bench::FigureContext ctx =
       bench::parse_figure_args(argc, argv, {100.0, 150.0, 200.0});
   const util::Flags flags(argc, argv);
-  // Figure-default 60 s is too long for the quadratic reference; use a few
-  // seconds unless the caller insists.
+  // A few seconds rather than the figure-default 60 s, unless the caller
+  // insists.
   ctx.base.duration = flags.get_double("seconds", 4.0);
   bench::print_banner(ctx, "Ablation",
                       "GE vs clairvoyant fluid-YDS reference (offline, "

@@ -297,7 +297,7 @@ void BM_FullYdsSchedule(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_FullYdsSchedule)->Range(16, 512);
+BENCHMARK(BM_FullYdsSchedule)->Range(16, 512)->Arg(4096)->Arg(16384);
 
 void BM_PlanRectifier(benchmark::State& state) {
   std::vector<ge::workload::Job> jobs;

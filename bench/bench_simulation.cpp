@@ -13,6 +13,8 @@
 #include "exp/experiment_engine.h"
 #include "exp/runner.h"
 #include "exp/scheduler_spec.h"
+#include "obs/analysis/analysis.h"
+#include "obs/analysis/reclaim.h"
 #include "obs/telemetry.h"
 
 namespace {
@@ -144,6 +146,39 @@ void BM_SimulateGE_Cluster8_Shards4(benchmark::State& state) {
   run_cluster8(state, 4);
 }
 
+// Reclaim advisor over the realised trace of a single-server GE run at
+// 220 req/s, range(0) sim-s long: the per-core re-speeds plus the pooled
+// fleet bound, as the --report path runs them.  The simulation, the trace
+// capture and analyze_task happen once, outside the timed loop; the rows
+// at 15/30/60 sim-s show how the advisor grows with trace length.
+void BM_Reclaim(benchmark::State& state) {
+  ge::exp::ExperimentConfig cfg = bench_config(220.0);
+  cfg.duration = static_cast<double>(state.range(0));
+  const ge::exp::SchedulerSpec spec = ge::exp::SchedulerSpec::parse("GE");
+  const ge::workload::Trace trace =
+      ge::workload::Trace::generate(cfg.workload_spec(), cfg.duration);
+  ge::obs::RunTelemetry telemetry;
+  telemetry.want_trace = true;
+  ge::exp::run_simulation(cfg, spec, trace, nullptr, &telemetry);
+
+  ge::obs::analysis::TaskInput input;
+  input.info.scheduler = "GE";
+  input.info.arrival_rate = cfg.arrival_rate;
+  input.info.cores = cfg.cores;
+  input.info.power_budget = cfg.power_budget;
+  input.buffer = &telemetry.trace;
+  input.fallback_model = cfg.power_model();
+  const ge::obs::analysis::TaskAnalysis analysis =
+      ge::obs::analysis::analyze_task(input);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        ge::obs::analysis::analyze_reclaim(input, analysis));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(analysis.jobs.size()));
+  state.counters["sim_seconds_per_iter"] = cfg.duration;
+}
+
 // Streaming replay of the heavy GE case: generation, release, retirement
 // and accounting all happen inside the run (no materialised trace), which
 // is the 10^6+-job path.  Compare against BM_SimulateGE_Heavy for the cost
@@ -216,10 +251,17 @@ BENCHMARK(BM_SimulateBKP_Heavy)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SimulateGE_Discrete)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SimulateGE_Telemetry)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SimulateGE_Cluster4)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SimulateGE_Cluster8_Shards1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SimulateGE_Cluster8_Shards4)->Unit(benchmark::kMillisecond);
+// items_per_second must count wall time: with --shards 4 the main thread
+// mostly waits on the shard workers, so its CPU time undercounts the run.
+BENCHMARK(BM_SimulateGE_Cluster8_Shards1)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK(BM_SimulateGE_Cluster8_Shards4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 BENCHMARK(BM_SimulateGE_Stream)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SimulateGE_CalendarQueue)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SimulateFig03Sweep)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Reclaim)->Arg(15)->Arg(30)->Arg(60)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -34,8 +34,8 @@ struct OfflineReference {
 };
 
 // Computes the reference for `trace` at quality target `q_target` under the
-// server parameters of `cfg`.  Cost grows quadratically with trace size;
-// intended for horizons of a few seconds.
+// server parameters of `cfg`.  The YDS step costs O(n log n) per level of
+// its split at the average speed (docs/ALGORITHMS.md, section 5).
 OfflineReference offline_reference(const workload::Trace& trace, double q_target,
                                    const ExperimentConfig& cfg);
 

@@ -68,10 +68,10 @@ const char* state_color(std::int32_t state) {
 constexpr double kPlotW = 900.0;
 
 struct TaskView {
-  const TaskInput* input = nullptr;
-  TaskAnalysis analysis;
-  ReclaimAnalysis reclaim;
-  double t_max = 1.0;  // plot end: the analysis bin grid's last edge
+  const TaskInput* input;
+  const TaskAnalysis& analysis;
+  const ReclaimAnalysis& reclaim;
+  double t_max;  // plot end: the analysis bin grid's last edge
 };
 
 double x_of(const TaskView& tv, double t) {
@@ -498,7 +498,11 @@ void panel_tenants(std::ostream& out, const TaskView& tv) {
 }  // namespace
 
 void write_dashboard(std::ostream& out, const std::vector<TaskInput>& inputs,
+                     const std::vector<TaskAnalysis>& analyses,
+                     const std::vector<ReclaimAnalysis>& reclaims,
                      const DashboardOptions& options) {
+  GE_CHECK(analyses.size() == inputs.size() && reclaims.size() == inputs.size(),
+           "write_dashboard: one analysis and one reclaim per input");
   out << "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n"
          "<meta charset=\"utf-8\">\n"
          "<meta name=\"generator\" content=\"ge-dashboard-v1\">\n"
@@ -521,15 +525,10 @@ void write_dashboard(std::ostream& out, const std::vector<TaskInput>& inputs,
          "<p>schema: ge-dashboard-v1 | tasks: "
       << inputs.size() << "</p>\n";
 
-  for (const TaskInput& input : inputs) {
-    TaskView tv;
-    tv.input = &input;
-    tv.analysis = analyze_task(input, options);
-    tv.reclaim = analyze_reclaim(input, tv.analysis);
-    tv.t_max = tv.analysis.bin_end.empty() ? 1.0 : tv.analysis.bin_end.back();
-    if (tv.t_max <= 0.0) {
-      tv.t_max = 1.0;
-    }
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const TaskAnalysis& a = analyses[i];
+    const double t_max = a.bin_end.empty() ? 1.0 : a.bin_end.back();
+    const TaskView tv{&inputs[i], a, reclaims[i], t_max > 0.0 ? t_max : 1.0};
     out << "<h2 id=\"task-" << tv.analysis.info.task << "\">task "
         << tv.analysis.info.task << " &mdash; "
         << esc(tv.analysis.info.scheduler) << " @ "
@@ -544,6 +543,17 @@ void write_dashboard(std::ostream& out, const std::vector<TaskInput>& inputs,
     panel_reclaim(out, tv);
   }
   out << "</body>\n</html>\n";
+}
+
+void write_dashboard(std::ostream& out, const std::vector<TaskInput>& inputs,
+                     const DashboardOptions& options) {
+  std::vector<TaskAnalysis> analyses;
+  std::vector<ReclaimAnalysis> reclaims;
+  for (const TaskInput& input : inputs) {
+    analyses.push_back(analyze_task(input, options));
+    reclaims.push_back(analyze_reclaim(input, analyses.back()));
+  }
+  write_dashboard(out, inputs, analyses, reclaims, options);
 }
 
 LoadedReport load_report_dir(const std::string& dir) {

@@ -39,9 +39,16 @@ struct DashboardOptions : ReportOptions {
   std::size_t gantt_slice_cap = 4000;
 };
 
-// Renders the dashboard for the given tasks (analyze_task + analyze_reclaim
-// run internally, so callers hand over the same TaskInputs a ReportWriter
-// would get).
+// Renders the dashboard for tasks already analysed: `analyses` and
+// `reclaims` are parallel to `inputs` (a ReportWriter's tasks() and
+// reclaims() after adding the same inputs with the same options).
+void write_dashboard(std::ostream& out, const std::vector<TaskInput>& inputs,
+                     const std::vector<TaskAnalysis>& analyses,
+                     const std::vector<ReclaimAnalysis>& reclaims,
+                     const DashboardOptions& options = {});
+
+// Renders the dashboard for the given tasks, running analyze_task and
+// analyze_reclaim on each first.
 void write_dashboard(std::ostream& out, const std::vector<TaskInput>& inputs,
                      const DashboardOptions& options = {});
 

@@ -15,278 +15,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// One re-speedable unit of realised work: a (core, job) pair's executed
-// units, to be completed within [release, deadline].
-struct RJob {
-  double release = 0.0;
-  double deadline = 0.0;
-  double work = 0.0;
-  std::size_t idx = 0;  // index into the core's job list
-};
-
-// A placed re-speed slice: run job `idx` at `speed` over [t0, t1].
-struct RSlice {
-  double t0 = 0.0;
-  double t1 = 0.0;
-  double speed = 0.0;
-  std::size_t idx = 0;
-};
-
-struct Placement {
-  std::vector<double> speed;   // per input job: its critical-block speed
-  std::vector<RSlice> slices;  // in placement order
-};
-
-// Disjoint sorted intervals with measure queries.  The cumulative measure
-// M(t) (total availability at or before t) makes measure(avail cap [t1,t2])
-// an O(log n) lookup during the candidate scan.
-class Availability {
- public:
-  Availability(double lo, double hi) {
-    if (hi > lo) {
-      ivs_.emplace_back(lo, hi);
-    }
-    rebuild();
-  }
-
-  bool empty() const { return ivs_.empty(); }
-
-  double measure_between(double t1, double t2) const {
-    if (t2 <= t1) {
-      return 0.0;
-    }
-    return cum_at(t2) - cum_at(t1);
-  }
-
-  // avail cap [t1, t2], as intervals.
-  std::vector<std::pair<double, double>> intersect(double t1, double t2) const {
-    std::vector<std::pair<double, double>> out;
-    for (const auto& [a, b] : ivs_) {
-      const double lo = std::max(a, t1);
-      const double hi = std::min(b, t2);
-      if (hi > lo) {
-        out.emplace_back(lo, hi);
-      }
-    }
-    return out;
-  }
-
-  void excise(double t1, double t2) {
-    std::vector<std::pair<double, double>> next;
-    for (const auto& [a, b] : ivs_) {
-      if (b <= t1 || a >= t2) {
-        next.emplace_back(a, b);
-        continue;
-      }
-      if (a < t1) {
-        next.emplace_back(a, t1);
-      }
-      if (b > t2) {
-        next.emplace_back(t2, b);
-      }
-    }
-    ivs_ = std::move(next);
-    rebuild();
-  }
-
- private:
-  void rebuild() {
-    cum_.assign(ivs_.size() + 1, 0.0);
-    for (std::size_t i = 0; i < ivs_.size(); ++i) {
-      cum_[i + 1] = cum_[i] + (ivs_[i].second - ivs_[i].first);
-    }
-  }
-
-  // Total availability measure in (-inf, t].
-  double cum_at(double t) const {
-    std::size_t i = 0;
-    double extra = 0.0;
-    while (i < ivs_.size() && ivs_[i].second <= t) {
-      ++i;
-    }
-    if (i < ivs_.size() && ivs_[i].first < t) {
-      extra = t - ivs_[i].first;
-    }
-    return cum_[i] + extra;
-  }
-
-  std::vector<std::pair<double, double>> ivs_;
-  std::vector<double> cum_;
-};
-
-// Preemptive EDF of `crit` (window subseteq [t1,t2], sorted by (deadline,
-// idx)) at constant speed over the availability segments; appends the
-// produced slices.  YDS guarantees the critical work exactly fills the
-// segments, so any floating-point residue below `work_eps` is dropped.
-void edf_place(const std::vector<RJob>& crit, double speed,
-               const std::vector<std::pair<double, double>>& segments,
-               double work_eps, std::vector<RSlice>* slices) {
-  // Injection order by release; run order by (deadline, idx).
-  std::vector<std::size_t> by_release(crit.size());
-  for (std::size_t i = 0; i < crit.size(); ++i) {
-    by_release[i] = i;
-  }
-  std::sort(by_release.begin(), by_release.end(),
-            [&](std::size_t a, std::size_t b) {
-              if (crit[a].release != crit[b].release) {
-                return crit[a].release < crit[b].release;
-              }
-              return crit[a].idx < crit[b].idx;
-            });
-  std::vector<double> rem(crit.size());
-  for (std::size_t i = 0; i < crit.size(); ++i) {
-    rem[i] = crit[i].work;
-  }
-  // `ready` kept sorted by (deadline, idx): crit is already in that order,
-  // so a sorted-insert of positions keeps ties deterministic.
-  std::vector<std::size_t> ready;
-  std::size_t next_rel = 0;
-  for (std::size_t si = 0; si < segments.size(); ++si) {
-    double t = segments[si].first;
-    while (t < segments[si].second) {
-      while (next_rel < by_release.size() &&
-             crit[by_release[next_rel]].release <= t) {
-        const std::size_t j = by_release[next_rel++];
-        ready.insert(std::lower_bound(ready.begin(), ready.end(), j), j);
-      }
-      if (ready.empty()) {
-        if (next_rel >= by_release.size()) {
-          return;  // everything placed; trailing segment time unused (FP)
-        }
-        // Idle until the next release (it lands in this segment or later).
-        t = std::max(t, crit[by_release[next_rel]].release);
-        continue;
-      }
-      const std::size_t j = ready.front();
-      double run_until = std::min(segments[si].second, t + rem[j] / speed);
-      if (next_rel < by_release.size()) {
-        run_until = std::min(run_until, crit[by_release[next_rel]].release);
-      }
-      if (run_until <= t) {
-        // No representable progress: the residue is below FP resolution.
-        rem[j] = 0.0;
-        ready.erase(ready.begin());
-        continue;
-      }
-      slices->push_back({t, run_until, speed, crit[j].idx});
-      rem[j] -= speed * (run_until - t);
-      t = run_until;
-      if (rem[j] <= work_eps) {
-        rem[j] = 0.0;
-        ready.erase(ready.begin());
-      }
-    }
-  }
-}
-
-// Critical-interval YDS with real-time placement.  Returns per-job block
-// speeds and the placed slices; the continuous energy of the result equals
-// opt::yds_min_energy on the same instance (differentially tested).
-Placement yds_place(std::vector<RJob> jobs) {
-  Placement out;
-  out.speed.assign(jobs.size(), 0.0);
-  std::vector<RJob> active;
-  double lo = kInf;
-  double hi = -kInf;
-  double total_work = 0.0;
-  for (const RJob& j : jobs) {
-    if (j.work <= 0.0) {
-      continue;
-    }
-    GE_CHECK(j.deadline > j.release, "reclaim: job window must be non-empty");
-    active.push_back(j);
-    lo = std::min(lo, j.release);
-    hi = std::max(hi, j.deadline);
-    total_work += j.work;
-  }
-  if (active.empty()) {
-    return out;
-  }
-  const double work_eps = 1e-9 * std::max(1.0, total_work);
-  Availability avail(lo, hi);
-
-  while (!active.empty()) {
-    GE_CHECK(!avail.empty(), "reclaim: ran out of availability");
-    // Candidate intervals: [release, deadline] pairs.  For a fixed t1 the
-    // contained work is accumulated over deadlines in ascending order.
-    std::vector<double> releases;
-    releases.reserve(active.size());
-    for (const RJob& j : active) {
-      releases.push_back(j.release);
-    }
-    std::sort(releases.begin(), releases.end());
-    releases.erase(std::unique(releases.begin(), releases.end()),
-                   releases.end());
-    std::vector<std::size_t> by_deadline(active.size());
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      by_deadline[i] = i;
-    }
-    std::sort(by_deadline.begin(), by_deadline.end(),
-              [&](std::size_t a, std::size_t b) {
-                return active[a].deadline < active[b].deadline;
-              });
-
-    double best_g = -1.0;
-    double best_t1 = 0.0;
-    double best_t2 = 0.0;
-    for (const double t1 : releases) {
-      double work = 0.0;
-      for (std::size_t p = 0; p < by_deadline.size(); ++p) {
-        const RJob& j = active[by_deadline[p]];
-        if (j.release >= t1) {
-          work += j.work;
-        }
-        const double t2 = j.deadline;
-        // Later jobs may share this deadline; only evaluate the candidate
-        // once all of them are folded in.
-        if (p + 1 < by_deadline.size() &&
-            active[by_deadline[p + 1]].deadline <= t2) {
-          continue;
-        }
-        if (work <= 0.0) {
-          continue;
-        }
-        const double span = avail.measure_between(t1, t2);
-        if (span <= 0.0) {
-          continue;
-        }
-        const double g = work / span;
-        if (g > best_g) {
-          best_g = g;
-          best_t1 = t1;
-          best_t2 = t2;
-        }
-      }
-    }
-    GE_CHECK(best_g > 0.0, "reclaim: no feasible critical interval");
-
-    // Critical set: active jobs with window inside [t1, t2], EDF order.
-    std::vector<RJob> crit;
-    std::vector<RJob> rest;
-    for (const RJob& j : active) {
-      if (j.release >= best_t1 && j.deadline <= best_t2) {
-        crit.push_back(j);
-      } else {
-        rest.push_back(j);
-      }
-    }
-    std::sort(crit.begin(), crit.end(), [](const RJob& a, const RJob& b) {
-      if (a.deadline != b.deadline) {
-        return a.deadline < b.deadline;
-      }
-      return a.idx < b.idx;
-    });
-    for (const RJob& j : crit) {
-      out.speed[j.idx] = best_g;
-    }
-    edf_place(crit, best_g, avail.intersect(best_t1, best_t2), work_eps,
-              &out.slices);
-    avail.excise(best_t1, best_t2);
-    active = std::move(rest);
-  }
-  return out;
-}
-
 // Convex envelope of the run's DVFS ladder under a core's power model:
 // piecewise-linear through (level, P(level)) for speeds above the lowest
 // level, the chord through the origin below it.  f >= P everywhere (P is
@@ -418,34 +146,32 @@ ReclaimAnalysis analyze_reclaim(const TaskInput& input,
     const power::PowerModel& pm = model_of(server, core);
     const LadderEnvelope envelope(input.info.ladder_units, pm);
 
-    std::vector<RJob> instance;
+    std::vector<opt::YdsJob> instance;
     instance.reserve(jobs_on_core.size());
     for (const auto& [job_id, agg] : jobs_on_core) {
       const JobSpan* span = span_of.at(job_id);
-      RJob j;
       // The realised slices must lie inside the window, so the instance is
       // feasible by construction (the run itself is a witness schedule).
-      j.release = (span->arrival >= 0.0 && span->arrival <= agg.first_start)
-                      ? span->arrival
-                      : agg.first_start;
-      j.deadline = std::max(span->deadline, agg.last_end);
-      j.work = agg.work;
-      j.idx = instance.size();
-      instance.push_back(j);
-      pooled.push_back({j.release, j.deadline, j.work});
+      const double release =
+          (span->arrival >= 0.0 && span->arrival <= agg.first_start)
+              ? span->arrival
+              : agg.first_start;
+      instance.push_back(
+          {release, std::max(span->deadline, agg.last_end), agg.work});
+      pooled.push_back(instance.back());
     }
 
-    const Placement placed = yds_place(instance);
+    const opt::YdsPlacement placed = opt::yds_place(instance);
     ServerReclaim& sr = out.servers[server];
-    for (const RSlice& slice : placed.slices) {
-      const double dt = slice.t1 - slice.t0;
+    for (const opt::YdsSlice& slice : placed.slices) {
+      const double dt = slice.end - slice.start;
       const double cont_w = pm.power(slice.speed);
       const double disc_w =
           envelope.discrete() ? envelope.power(slice.speed) : cont_w;
       sr.cont_j += cont_w * dt;
       sr.disc_j += disc_w * dt;
-      spread(sr.cont_bin_j, slice.t0, slice.t1, cont_w);
-      spread(sr.disc_bin_j, slice.t0, slice.t1, disc_w);
+      spread(sr.cont_bin_j, slice.start, slice.end, cont_w);
+      spread(sr.disc_bin_j, slice.start, slice.end, disc_w);
     }
   }
   for (const ServerReclaim& sr : out.servers) {
@@ -468,7 +194,9 @@ ReclaimAnalysis analyze_reclaim(const TaskInput& input,
       }
     }
   } else {
-    total_cores = input.info.cores;
+    // A trace file carries one server's core count; the fleet has
+    // num_servers of them, and at least every core that executed.
+    total_cores = std::max(input.info.cores * num_servers, core_jobs.size());
     a_min = input.fallback_model.a();
   }
   total_cores = std::max<std::size_t>(total_cores, 1);

@@ -23,12 +23,15 @@
 //   * offline_j -- fluid fleet-wide lower bound: all realised work pooled
 //     onto one speed-unbounded machine with the m-core fluid power curve
 //     a_min * m^(1-beta) * (S/u)^beta (Jensen: running m cores at the same
-//     total speed never beats this curve).
+//     total speed never beats this curve).  m counts every core of the
+//     fleet: the per-core models in-process, or info.cores per server (at
+//     least every (server, core) that executed) for a trace read from a
+//     file, which carries one server's core count.
 //
-// The advisor's YDS re-speed uses its own critical-interval construction
-// with real-time placement (opt::yds_schedule collapses the timeline, which
-// is enough for energies but not for per-interval attribution); the
-// continuous energies are differentially tested against opt::yds_min_energy.
+// Both re-speeds run on the library's one general-release YDS engine
+// (opt/yds.h): opt::yds_place gives the per-core schedules as real-time EDF
+// slices, which the per-bin attribution needs, and opt::yds_min_energy the
+// pooled bound.  This file only gathers the instances and prices them.
 //
 // Everything is a pure function of (TaskInput, TaskAnalysis): byte-stable
 // outputs for a given trace, no clocks, no RNG.

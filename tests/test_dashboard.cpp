@@ -1,7 +1,8 @@
 // Tests for the HTML fleet dashboard (src/obs/analysis/dashboard.h): the
 // panel-id contract, the self-containment pledge (no scripts, no external
-// fetches), byte determinism, the report-directory loader's round trip and
-// its clean error paths (missing dir / missing trace.jsonl / wrong schema).
+// fetches), byte determinism, rendering from precomputed analyses, the
+// report-directory loader's round trip and its clean error paths (missing
+// dir / missing trace.jsonl / wrong schema).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -92,6 +93,23 @@ TEST_F(DashboardFromEngine, BytesAreDeterministic) {
   LoadedReport b = load_report_dir(*dir_);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(render(a.inputs), render(b.inputs));
+}
+
+// ge_report hands the dashboard the ReportWriter's analyses instead of
+// analysing every task a second time; the page must not change.
+TEST_F(DashboardFromEngine, PrecomputedAnalysesRenderTheSameBytes) {
+  LoadedReport loaded = load_report_dir(*dir_);
+  ASSERT_TRUE(loaded.ok()) << loaded.error;
+  DashboardOptions options;
+  options.timeline_bins = 37;
+  ReportWriter writer(options);
+  for (const TaskInput& input : loaded.inputs) {
+    writer.add_task(input);
+  }
+  std::ostringstream out;
+  write_dashboard(out, loaded.inputs, writer.tasks(), writer.reclaims(),
+                  options);
+  EXPECT_EQ(out.str(), render(loaded.inputs, options));
 }
 
 TEST_F(DashboardFromEngine, GanttFallsBackAboveTheSliceCap) {

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <array>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "exp/scheduler_spec.h"
 #include "obs/analysis/analysis.h"
 #include "obs/analysis/reclaim.h"
+#include "obs/analysis/trace_reader.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "opt/yds.h"
@@ -455,6 +457,56 @@ TEST(ReclaimChain, FuzzMatrixStreamShardsAgreeAndHold) {
       EXPECT_EQ(variants[v].offline_j, variants[0].offline_j) << "base " << b;
     }
   }
+}
+
+// A JSONL trace carries one server's core count and one fallback power
+// model.  Read back as ge_report loads it, a fleet trace must still price
+// the pooled fluid bound over every server's cores: the same machine the
+// in-process path builds from the per-core models.
+TEST(ReclaimChain, MultiServerTraceFileHoldsTheChain) {
+  exp::ExperimentConfig cfg = exp::ExperimentConfig::paper_defaults();
+  cfg.duration = 2.0;
+  cfg.cores = 4;
+  cfg.power_budget = 80.0;
+  cfg.num_servers = 8;
+  cfg.dispatch = cluster::DispatchPolicy::kJsq;
+  cfg.arrival_rate = 480.0;
+  cfg.seed = 83;
+  const exp::SchedulerSpec spec = exp::SchedulerSpec::parse("GE");
+  const workload::Trace trace = workload::Trace::generate(
+      cfg.workload_spec(), cfg.duration, cfg.max_jobs);
+  obs::RunTelemetry telem;
+  telem.want_trace = true;
+  (void)exp::run_simulation(cfg, spec, trace, nullptr, &telem);
+
+  TraceTaskInfo info;
+  info.task = 0;
+  info.scheduler = "GE";
+  info.arrival_rate = cfg.arrival_rate;
+  info.cores = cfg.cores;
+  info.power_budget = exp::effective_budget(spec, cfg);
+  info.power_model_json = cfg.power_model().describe_json();
+  std::stringstream file;
+  obs::TraceWriter writer(file, obs::TraceFormat::kJsonl);
+  writer.append_task(info, telem.trace);
+  writer.close();
+  const std::vector<obs::analysis::ParsedTask> parsed =
+      obs::analysis::read_trace_jsonl(file);
+  ASSERT_EQ(parsed.size(), 1u);
+
+  TaskInput input;
+  input.info = parsed[0].info;
+  input.buffer = &parsed[0].buffer;
+  input.fallback_model = parsed[0].model;
+  const ReclaimAnalysis from_file = reclaim_of(input);
+  ASSERT_EQ(from_file.servers.size(), 8u);
+  expect_chain(from_file, "8-server JSONL");
+
+  // Every number round-trips %.12g, hence the 1e-9 tolerance.
+  const ReclaimAnalysis in_process = run_and_reclaim(cfg, "GE").reclaim;
+  EXPECT_NEAR(from_file.offline_j, in_process.offline_j,
+              1e-9 * in_process.offline_j);
+  EXPECT_NEAR(from_file.cont_j, in_process.cont_j, 1e-9 * in_process.cont_j);
 }
 
 // Cross-check against the registry's clairvoyant YDS pseudo-scheduler: at a

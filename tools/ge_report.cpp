@@ -129,7 +129,9 @@ int main(int argc, char** argv) {
                    dashboard_path.c_str());
       return 2;
     }
-    obs::analysis::write_dashboard(dash_out, loaded.inputs, options);
+    // The writer has analysed every task already; the dashboard reuses it.
+    obs::analysis::write_dashboard(dash_out, loaded.inputs, writer.tasks(),
+                                   writer.reclaims(), options);
     std::printf("ge_report: dashboard -> %s\n", dashboard_path.c_str());
   }
 
