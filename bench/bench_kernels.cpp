@@ -275,8 +275,12 @@ void BM_QualityOptAllocator(benchmark::State& state) {
     jobs.push_back(ge::opt::AllocJob{rng.uniform(0.0, 100.0),
                                      rng.uniform(50.0, 500.0), deadline});
   }
+  // The scheduler-facing path: one QualityOptScratch reused across calls.
+  ge::opt::QualityOptScratch scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ge::opt::maximize_quality(0.0, jobs, 1500.0, paper_f()));
+    benchmark::DoNotOptimize(
+        ge::opt::maximize_quality(0.0, jobs, 1500.0, scratch).data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

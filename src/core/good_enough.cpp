@@ -355,8 +355,8 @@ void GoodEnoughScheduler::plan_core(server::Core& core, double cap_watts,
       alloc_jobs_[i] = opt::AllocJob{plan_jobs_[i].job->executed,
                                      plan_jobs_[i].remaining, plan_jobs_[i].deadline};
     }
-    const std::vector<double> extra =
-        opt::maximize_quality(t, alloc_jobs_, s_cap, *env_.quality_function);
+    const std::span<const double> extra =
+        opt::maximize_quality(t, alloc_jobs_, s_cap, qopt_scratch_);
     trimmed_.clear();
     trimmed_.reserve(plan_jobs_.size());
     for (std::size_t i = 0; i < plan_jobs_.size(); ++i) {

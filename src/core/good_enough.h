@@ -171,6 +171,7 @@ class GoodEnoughScheduler : public Scheduler {
   std::vector<double> caps_;
   std::vector<std::size_t> order_;
   opt::CutScratch cut_scratch_;
+  opt::QualityOptScratch qopt_scratch_;
 
   // Cached telemetry handles (null when metrics are off); catalog in
   // docs/OBSERVABILITY.md.

@@ -13,34 +13,6 @@ double clamp01(double q) { return std::clamp(q, 0.0, 1.0); }
 
 }  // namespace
 
-double QualityFunction::inverse_derivative(double slope) const {
-  // Generic bisection fallback; f' is non-increasing on [0, xmax].
-  if (slope >= derivative(0.0)) {
-    return 0.0;
-  }
-  if (slope <= derivative(xmax())) {
-    return xmax();
-  }
-  double lo = 0.0;
-  double hi = xmax();
-  for (int i = 0; i < 80; ++i) {
-    const double mid = 0.5 * (lo + hi);
-    // mid == lo or mid == hi is a fixed point: later iterations cannot move
-    // either endpoint again (same mid, same branch every time), so breaking
-    // here returns the same 0.5 * (lo + hi) the full loop would.
-    const bool converged = mid == lo || mid == hi;
-    if (derivative(mid) > slope) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-    if (converged) {
-      break;
-    }
-  }
-  return 0.5 * (lo + hi);
-}
-
 ExponentialQuality::ExponentialQuality(double c, double xmax) : c_(c), xmax_(xmax) {
   GE_CHECK(c > 0.0, "concavity multiplier c must be positive");
   GE_CHECK(xmax > 0.0, "xmax must be positive");
@@ -62,18 +34,6 @@ double ExponentialQuality::inverse(double q) const {
   const double arg = 1.0 - q * norm_;
   GE_CHECK(arg > 0.0, "inverse() argument out of range");
   const double x = -std::log(arg) / c_;
-  return std::clamp(x, 0.0, xmax_);
-}
-
-double ExponentialQuality::inverse_derivative(double slope) const {
-  if (slope >= derivative(0.0)) {
-    return 0.0;
-  }
-  if (slope <= derivative(xmax_)) {
-    return xmax_;
-  }
-  // f'(x) = c e^{-cx} / norm  =>  x = -ln(slope * norm / c) / c.
-  const double x = -std::log(slope * norm_ / c_) / c_;
   return std::clamp(x, 0.0, xmax_);
 }
 
@@ -114,8 +74,7 @@ double PowerLawQuality::value(double x) const {
 double PowerLawQuality::derivative(double x) const {
   x = std::clamp(x, 0.0, xmax_);
   if (x <= 0.0) {
-    // f'(0+) diverges; return a large finite slope so water-filling always
-    // prefers giving the first unit of work to an untouched job.
+    // f'(0+) diverges; return a large finite slope instead.
     return 1e18;
   }
   return slope_scale_ * std::pow(x / xmax_, gamma_minus_one_);

@@ -8,8 +8,8 @@
 //
 // whose concavity captures the law of diminishing returns: the head of a job
 // contributes more quality per unit of work than its tail.  The interface
-// also exposes the derivative and inverse, which the LF job cutter and the
-// Quality-OPT allocator rely on.  Two additional concave families
+// also exposes the derivative and the inverse; the LF job cutter relies on
+// the inverse.  Two additional concave families
 // (linear and power-law) support the sensitivity study around Fig. 9.
 #pragma once
 
@@ -32,11 +32,6 @@ class QualityFunction {
   // Smallest x with f(x) >= q, for q in [0, 1].
   virtual double inverse(double q) const = 0;
 
-  // Smallest x with f'(x) <= slope (the "marginal demand" at a given
-  // marginal-quality threshold).  Returns 0 when slope >= f'(0) and xmax
-  // when slope <= f'(xmax).  Used by the Quality-OPT water-filling step.
-  virtual double inverse_derivative(double slope) const;
-
   // Upper bound on processing demand; f saturates at 1 there.
   virtual double xmax() const = 0;
 
@@ -51,7 +46,6 @@ class ExponentialQuality final : public QualityFunction {
   double value(double x) const override;
   double derivative(double x) const override;
   double inverse(double q) const override;
-  double inverse_derivative(double slope) const override;
   double xmax() const override { return xmax_; }
   std::string name() const override;
 

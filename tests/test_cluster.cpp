@@ -352,36 +352,39 @@ struct GoldenCase {
   std::uint64_t rounds, wf_rounds, es_rounds;
 };
 
+// Re-pinned when Quality-OPT moved from the theta bisection to the exact
+// level solve: floats moved by at most 3.1e-13 relative, every count
+// stayed the same.
 constexpr GoldenCase kGoldens[] = {
     {"GE", 150, 21ULL, false, 1, -1, 0,
      0.90063595804832031, 901.19149384643129, 0, 225.29787346160782,
      145.00167260683284, 148.7803362759208, 150.00000000000003, 150.00000000000014,
-     0.76107237215655665, 1.5983116294329094, 0.25347871351602624, 0.77895179140943793, 0.092250419845740506,
+     0.76107237215655665, 1.5983116294329098, 0.2534787135160258, 0.77895179140943793, 0.092250419845740422,
      625ULL, 186ULL, 439ULL, 0ULL, 140ULL, 58ULL, 82ULL},
     {"GE", 230, 22ULL, true, 1, -1, 0,
-     0.77362559522280194, 1248.0027560004185, 0, 312.00068900010461,
+     0.77362559522280172, 1248.0027560004185, 0, 312.00068900010461,
      142.65903935618894, 145.72738449932433, 150.00000000000003, 150.00000000000023,
-     0.039463963336364698, 1.9453194551508561, 0.034743129551452118, 0.79317209942622224, 0.016541750065012611,
+     0.039463963336364698, 1.9453194551508561, 0.034743129551452118, 0.79317209942622224, 0.016541750065012597,
      955ULL, 108ULL, 847ULL, 0ULL, 140ULL, 132ULL, 8ULL},
     {"BE", 150, 23ULL, false, 1, -1, 0,
      0.98247880674093091, 988.8065303456533, 0, 247.20163258641333,
      146.29167958536266, 149.99999999999991, 150.00000000000003, 150.00000000000034,
-     0, 1.6559279910648081, 0.37445955489932931, 0.77008564231283505, 0.16102896149941365,
+     0, 1.6559279910648086, 0.37445955489932836, 0.77008564231283505, 0.16102896149941368,
      566ULL, 511ULL, 55ULL, 0ULL, 163ULL, 163ULL, 0ULL},
     {"BE-P", 180, 24ULL, false, 1, -1, 0,
-     0.84246896556008732, 1006.4850070342123, 0, 251.62125175855309,
+     0.84246896556008732, 1006.4850070342125, 0, 251.62125175855311,
      143.34154009767701, 148.28746987541962, 150.00000000000003, 150.00000000000023,
-     0, 1.7524944116797128, 0.046543012732836418, 0.78354631451154688, 0.03434029562719474,
+     0, 1.752494411679713, 0.046543012732835953, 0.78354631451154688, 0.034340295627194678,
      762ULL, 235ULL, 527ULL, 0ULL, 124ULL, 124ULL, 0ULL},
     {"BE-S", 180, 25ULL, false, 1, -1, 0,
-     0.91106801115660963, 1001.7041366135697, 0, 250.42603415339244,
+     0.91106801115660963, 1001.70413661357, 0, 250.42603415339249,
      145.39206655613538, 149.14763204371883, 150.00000000000003, 150.00000000000034,
-     0, 1.7328651032654312, 0.09386173883105442, 0.78513705116895049, 0.050482087893704869,
+     0, 1.7328651032654312, 0.09386173883105535, 0.78513705116895049, 0.050482087893704869,
      697ULL, 438ULL, 259ULL, 0ULL, 121ULL, 0ULL, 121ULL},
     {"GE-RR", 200, 26ULL, false, 1, -1, 0,
-     0.27314665340429028, 1317.679402095376, 0, 329.41985052384399,
-     133.07729078888971, 135.1703633795629, 149.34388980262113, 149.99999999999991,
-     0.0061096923121842436, 7.9601202777501596, 0.23755152475738525, 0.05028612189937285, 3.8729833462074175,
+     0.27314665340429034, 1317.6794020953876, 0, 329.41985052384689,
+     133.07729078888974, 135.1703633795629, 149.34388980262113, 149.99999999999991,
+     0.0061096923121842436, 7.960120277750165, 0.23755152475731073, 0.05028612189937285, 3.8729833462074166,
      807ULL, 0ULL, 807ULL, 0ULL, 817ULL, 808ULL, 9ULL},
     {"FDFS", 120, 27ULL, false, 2, -1, 0,
      0.9047384761961369, 855.70408766216747, 0, 213.92602191554187,
@@ -389,9 +392,9 @@ constexpr GoldenCase kGoldens[] = {
      0, 1.3496519693323128, 0.07749664694930869, 0.74626437553205105, 0.10808483820929946,
      516ULL, 329ULL, 187ULL, 0ULL, 0ULL, 0ULL, 0ULL},
     {"GE", 160, 28ULL, false, 1, 1.5, 4,
-     0.89924147692410628, 985.49508905379105, 0, 246.37377226344776,
+     0.8992414769241065, 985.49508905379116, 0, 246.37377226344779,
      143.61897127998796, 147.19079988423255, 150.00000000000003, 150.00000000000031,
-     0.32789861535385939, 1.8279118932589831, 0.28910038681140959, 0.65888145298504608, 0.45989594050198873,
+     0.32789861535385939, 1.8279118932589831, 0.28910038681140959, 0.65888145298504608, 0.45989594050198879,
      610ULL, 249ULL, 361ULL, 0ULL, 126ULL, 40ULL, 86ULL},
 };
 

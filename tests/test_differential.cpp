@@ -29,7 +29,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <random>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -196,6 +198,13 @@ TEST(Differential, EnergyOptAgreesWithFullYds) {
   }
 }
 
+// One scratch per call, returned as an owning vector.
+std::vector<double> allocate(double now, std::span<const AllocJob> jobs, double cap) {
+  QualityOptScratch scratch;
+  const std::span<const double> x = maximize_quality(now, jobs, cap, scratch);
+  return {x.begin(), x.end()};
+}
+
 // Feasibility of an extra-allocation vector under the nested prefix
 // constraints sum_{j<=k} x_j <= cap * (d_k - now).
 bool allocation_feasible(double now, const std::vector<AllocJob>& jobs,
@@ -232,7 +241,7 @@ TEST(Differential, QualityOptBeatsEveryGridAllocation) {
     }
     const double cap = cap_dist(rng);
 
-    const std::vector<double> extra = maximize_quality(0.0, jobs, cap, f);
+    const std::vector<double> extra = allocate(0.0, jobs, cap);
     ASSERT_EQ(extra.size(), jobs.size());
     EXPECT_TRUE(allocation_feasible(0.0, jobs, extra, cap)) << "trial " << trial;
     const double analytic = allocation_quality(jobs, extra, f);
@@ -267,26 +276,431 @@ TEST(Differential, QualityOptBeatsEveryGridAllocation) {
 TEST(Differential, QualityOptUncappedTakesEverything) {
   // With capacity far above the total extra work the allocator must saturate
   // every job (f is strictly increasing below xmax).
-  const quality::ExponentialQuality f(0.003, 1000.0);
   std::vector<AllocJob> jobs = {
       AllocJob{100.0, 400.0, 1.0},
       AllocJob{0.0, 700.0, 2.0},
       AllocJob{250.0, 300.0, 3.0},
   };
-  const std::vector<double> extra = maximize_quality(0.0, jobs, 1e7, f);
+  const std::vector<double> extra = allocate(0.0, jobs, 1e7);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     EXPECT_NEAR(extra[i], jobs[i].max_extra, 1e-6) << "job " << i;
   }
 }
 
 TEST(Differential, QualityOptZeroCapAllocatesNothing) {
-  const quality::ExponentialQuality f(0.003, 1000.0);
   std::vector<AllocJob> jobs = {AllocJob{0.0, 500.0, 1.0}};
   for (double cap : {0.0, -5.0}) {
-    const std::vector<double> extra = maximize_quality(0.0, jobs, cap, f);
+    const std::vector<double> extra = allocate(0.0, jobs, cap);
     ASSERT_EQ(extra.size(), 1u);
     EXPECT_EQ(extra[0], 0.0);
   }
+}
+
+// --- Oracle: the theta-bisection water-fill -------------------------------
+// maximize_quality's former water-fill, kept verbatim: it bisects the
+// common marginal quality theta (~55 steps) and maps each theta to a level
+// through f's inverse derivative, whose generic bisection and exponential
+// closed form are kept here too.
+
+namespace bisection_oracle {
+
+using quality::QualityFunction;
+
+constexpr double kTol = 1e-9;
+
+// Smallest x with f'(x) <= slope; 0 when slope >= f'(0), xmax when
+// slope <= f'(xmax).  Closed form for the paper's exponential, bisection
+// otherwise.
+double inverse_derivative(const QualityFunction& f, double slope) {
+  if (const auto* expf = dynamic_cast<const quality::ExponentialQuality*>(&f)) {
+    const double c = expf->concavity();
+    const double xmax = expf->xmax();
+    const double norm = 1.0 - std::exp(-c * xmax);
+    if (slope >= f.derivative(0.0)) {
+      return 0.0;
+    }
+    if (slope <= f.derivative(xmax)) {
+      return xmax;
+    }
+    // f'(x) = c e^{-cx} / norm  =>  x = -ln(slope * norm / c) / c.
+    const double x = -std::log(slope * norm / c) / c;
+    return std::clamp(x, 0.0, xmax);
+  }
+  // Generic bisection fallback; f' is non-increasing on [0, xmax].
+  if (slope >= f.derivative(0.0)) {
+    return 0.0;
+  }
+  if (slope <= f.derivative(f.xmax())) {
+    return f.xmax();
+  }
+  double lo = 0.0;
+  double hi = f.xmax();
+  for (int i = 0; i < 80; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    // mid == lo or mid == hi is a fixed point: later iterations cannot move
+    // either endpoint again (same mid, same branch every time), so breaking
+    // here returns the same 0.5 * (lo + hi) the full loop would.
+    const bool converged = mid == lo || mid == hi;
+    if (f.derivative(mid) > slope) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+    if (converged) {
+      break;
+    }
+  }
+  return 0.5 * (lo + hi);
+}
+
+// Equal-marginal water-filling for jobs [l, r] with a total budget, ignoring
+// internal prefix constraints.  Writes allocations into x[l..r].
+void waterfill(std::span<const AllocJob> jobs, std::size_t l, std::size_t r,
+               double budget, const quality::QualityFunction& f,
+               std::vector<double>& x) {
+  double total_extra = 0.0;
+  for (std::size_t j = l; j <= r; ++j) {
+    total_extra += jobs[j].max_extra;
+  }
+  if (budget <= kTol) {
+    for (std::size_t j = l; j <= r; ++j) {
+      x[j] = 0.0;
+    }
+    return;
+  }
+  if (budget >= total_extra - kTol) {
+    for (std::size_t j = l; j <= r; ++j) {
+      x[j] = jobs[j].max_extra;
+    }
+    return;
+  }
+  // Bisection on the marginal-quality threshold theta: each job takes work
+  // until its marginal f'(e_j + x_j) falls to theta.
+  double theta_hi = 0.0;  // allocates nothing
+  double theta_lo = std::numeric_limits<double>::infinity();
+  for (std::size_t j = l; j <= r; ++j) {
+    theta_hi = std::max(theta_hi, f.derivative(jobs[j].executed));
+    theta_lo = std::min(theta_lo, f.derivative(jobs[j].executed + jobs[j].max_extra));
+  }
+  auto allocated_at = [&](double theta) {
+    const double level = inverse_derivative(f, theta);
+    double sum = 0.0;
+    for (std::size_t j = l; j <= r; ++j) {
+      const double want = level - jobs[j].executed;
+      sum += std::clamp(want, 0.0, jobs[j].max_extra);
+    }
+    return sum;
+  };
+  double lo = theta_lo;
+  double hi = theta_hi;
+  for (int iter = 0; iter < 100; ++iter) {
+    const double mid = 0.5 * (lo + hi);
+    // Once the midpoint collides with an endpoint the interval cannot
+    // shrink further: every later iteration recomputes this same mid and
+    // takes this same branch, so hi has reached its final value.  Breaking
+    // after the update is therefore bitwise-identical to running out the
+    // full iteration count.
+    const bool converged = mid == lo || mid == hi;
+    if (allocated_at(mid) > budget) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+    if (converged) {
+      break;
+    }
+  }
+  const double theta = hi;  // allocated_at(hi) <= budget
+  const double level = inverse_derivative(f, theta);
+  double used = 0.0;
+  for (std::size_t j = l; j <= r; ++j) {
+    x[j] = std::clamp(level - jobs[j].executed, 0.0, jobs[j].max_extra);
+    used += x[j];
+  }
+  // Distribute the bisection residual to jobs with slack (keeps the budget
+  // fully used; the residual is tiny so optimality is unaffected).
+  double residual = budget - used;
+  for (std::size_t j = l; j <= r && residual > kTol; ++j) {
+    const double slack = jobs[j].max_extra - x[j];
+    const double take = std::min(slack, residual);
+    x[j] += take;
+    residual -= take;
+  }
+}
+
+// Solves jobs [l, r] given `base` units already committed to earlier prefixes
+// and `budget` units available to this range.  capacity(k) is the absolute
+// prefix capacity s*(d_k - now) for job index k.
+void solve(std::span<const AllocJob> jobs, std::size_t l, std::size_t r, double base,
+           double budget, std::span<const double> capacity,
+           const quality::QualityFunction& f, std::vector<double>& x) {
+  budget = std::max(budget, 0.0);
+  waterfill(jobs, l, r, budget, f, x);
+  if (l == r) {
+    return;
+  }
+  // Find the most violated internal prefix constraint.
+  double worst_violation = kTol;
+  std::size_t worst_k = r;
+  double prefix = 0.0;
+  for (std::size_t k = l; k < r; ++k) {
+    prefix += x[k];
+    const double allowed = std::max(capacity[k] - base, 0.0);
+    const double violation = prefix - allowed;
+    if (violation > worst_violation) {
+      worst_violation = violation;
+      worst_k = k;
+    }
+  }
+  if (worst_k == r) {
+    return;  // feasible
+  }
+  // Pin the worst prefix tight and recurse on both sides.
+  const double left_budget = std::max(capacity[worst_k] - base, 0.0);
+  solve(jobs, l, worst_k, base, left_budget, capacity, f, x);
+  solve(jobs, worst_k + 1, r, base + left_budget, budget - left_budget, capacity, f,
+        x);
+}
+
+std::vector<double> maximize_quality(double now, std::span<const AllocJob> jobs,
+                                     double speed_cap,
+                                     const quality::QualityFunction& f) {
+  const std::size_t n = jobs.size();
+  std::vector<double> x(n, 0.0);
+  if (n == 0 || speed_cap <= 0.0) {
+    return x;
+  }
+  double prev_deadline = -std::numeric_limits<double>::infinity();
+  for (const AllocJob& aj : jobs) {
+    GE_CHECK(aj.executed >= 0.0, "negative executed work");
+    GE_CHECK(aj.max_extra >= 0.0, "negative max_extra");
+    GE_CHECK(aj.deadline >= prev_deadline - 1e-9, "jobs must be EDF-sorted");
+    prev_deadline = aj.deadline;
+  }
+  std::vector<double> capacity(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    capacity[k] = speed_cap * std::max(jobs[k].deadline - now, 0.0);
+  }
+  solve(jobs, 0, n - 1, 0.0, capacity[n - 1], capacity, f, x);
+  return x;
+}
+
+}  // namespace bisection_oracle
+
+// The oracle's theta -> level map must invert f' (the bisection above is
+// only as good as it).
+class QualityFunctionProperties : public ::testing::TestWithParam<double> {};
+
+TEST_P(QualityFunctionProperties, InverseDerivativeRoundTrip) {
+  const quality::ExponentialQuality f(GetParam(), 1000.0);
+  for (double x = 10.0; x <= 990.0; x += 49.0) {
+    const double slope = f.derivative(x);
+    EXPECT_NEAR(bisection_oracle::inverse_derivative(f, slope), x, 1e-6);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ConcavitySweep, QualityFunctionProperties,
+                         ::testing::Values(0.0005, 0.001, 0.002, 0.003, 0.005, 0.009));
+
+TEST(PowerLawQuality, GenericInverseDerivative) {
+  const quality::PowerLawQuality f(0.5, 1000.0);
+  const double x = 400.0;
+  EXPECT_NEAR(bisection_oracle::inverse_derivative(f, f.derivative(x)), x, 1e-4);
+}
+
+// --- The level solve against the bisection oracle --------------------------
+
+struct QualityFamily {
+  std::string name;
+  std::unique_ptr<quality::QualityFunction> f;
+  bool strictly_concave;
+};
+
+std::vector<QualityFamily> quality_families() {
+  std::vector<QualityFamily> out;
+  for (double c : {0.0005, 0.003, 0.009}) {
+    out.push_back({"exp" + std::to_string(c),
+                   std::make_unique<quality::ExponentialQuality>(c, 1000.0), true});
+  }
+  out.push_back({"powerlaw0.5", std::make_unique<quality::PowerLawQuality>(0.5, 1000.0),
+                 true});
+  out.push_back({"linear", std::make_unique<quality::LinearQuality>(1000.0), false});
+  return out;
+}
+
+// Prefix feasibility against the clamped capacities s * max(d_k - now, 0),
+// to the solver's own violation tolerance plus summation rounding.
+bool level_feasible(double now, std::span<const AllocJob> jobs,
+                    std::span<const double> x, double cap) {
+  double prefix = 0.0;
+  for (std::size_t k = 0; k < jobs.size(); ++k) {
+    if (x[k] < 0.0 || x[k] > jobs[k].max_extra) {
+      return false;
+    }
+    prefix += x[k];
+    const double capacity = cap * std::max(jobs[k].deadline - now, 0.0);
+    if (prefix > capacity + 1e-9 + 1e-12 * capacity) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// The oracle halves its theta bracket [min f'(e_j + w_j), max f'(e_j)] at
+// most 100 times, which resolves theta to the last bit only when the
+// bracket spans at most ~2^48.  The power law's f'(0) is 1e18, so with an
+// untouched job (e_j = 0) the bracket is ~2^70 wide, the oracle stops
+// ~1e-9 relative short in theta and tops the gap up in EDF order (~1e-7
+// units off the exact level split).  Its allocations are compared
+// elementwise only when the bracket is narrow enough; the objective check
+// always applies.
+bool oracle_converges(const quality::QualityFunction& f, std::span<const AllocJob> jobs) {
+  double theta_hi = 0.0;
+  double theta_lo = std::numeric_limits<double>::infinity();
+  for (const AllocJob& j : jobs) {
+    theta_hi = std::max(theta_hi, f.derivative(j.executed));
+    theta_lo = std::min(theta_lo, f.derivative(j.executed + j.max_extra));
+  }
+  return theta_hi <= std::ldexp(theta_lo, 48);
+}
+
+void expect_matches_oracle(const QualityFamily& fam, double now,
+                           const std::vector<AllocJob>& jobs, double cap,
+                           const std::string& label) {
+  SCOPED_TRACE(fam.name + " " + label + " n=" + std::to_string(jobs.size()));
+  QualityOptScratch scratch;
+  const std::span<const double> got = maximize_quality(now, jobs, cap, scratch);
+  const std::vector<double> want =
+      bisection_oracle::maximize_quality(now, jobs, cap, *fam.f);
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_TRUE(level_feasible(now, jobs, got, cap));
+  const double q_got = allocation_quality(jobs, got, *fam.f);
+  const double q_want = allocation_quality(jobs, want, *fam.f);
+  EXPECT_GE(q_got, q_want - 1e-12 * std::abs(q_want));
+  if (fam.strictly_concave && oracle_converges(*fam.f, jobs)) {
+    for (std::size_t j = 0; j < got.size(); ++j) {
+      EXPECT_NEAR(got[j], want[j], 1e-9) << "job " << j;
+    }
+  }
+}
+
+// Random EDF instances with knobs for the degenerate shapes: zero-extra
+// jobs, shared executed volumes and deadlines at or before `now`.
+std::vector<AllocJob> random_alloc_jobs(std::mt19937_64& rng, std::size_t n, double now,
+                                        double p_zero_extra, double p_equal_exec,
+                                        double p_expired) {
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::uniform_real_distribution<double> exec_dist(0.0, 300.0);
+  std::uniform_real_distribution<double> extra_dist(1.0, 700.0);
+  std::uniform_real_distribution<double> gap_dist(0.002, 0.05);
+  std::vector<AllocJob> jobs(n);
+  double d = now - 0.03;
+  bool expired = true;
+  // Half the instances share e_j = 0 (fresh jobs), the rest a random e_j.
+  const double shared_exec = unit(rng) < 0.5 ? 0.0 : exec_dist(rng);
+  for (AllocJob& j : jobs) {
+    // EDF order puts expired jobs first: a prefix with deadlines at or
+    // before `now` (later ones sit on `now` exactly), then the rest.
+    expired = expired && unit(rng) < p_expired;
+    d = expired ? std::min(d + 0.5 * gap_dist(rng), now)
+                : std::max(d, now) + gap_dist(rng);
+    j.deadline = d;
+    j.executed = unit(rng) < p_equal_exec ? shared_exec : exec_dist(rng);
+    j.max_extra = unit(rng) < p_zero_extra ? 0.0 : extra_dist(rng);
+  }
+  return jobs;
+}
+
+TEST(QualityOptLevel, MatchesBisectionOracleAcrossSizes) {
+  const std::vector<QualityFamily> families = quality_families();
+  std::mt19937_64 rng(1313);
+  std::uniform_real_distribution<double> cap_dist(300.0, 6000.0);
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 1; n <= 16; ++n) {
+    sizes.push_back(n);
+  }
+  for (std::size_t n : {24, 32, 48, 64, 96, 128, 192, 256}) {
+    sizes.push_back(n);
+  }
+  for (std::size_t n : sizes) {
+    for (int trial = 0; trial < 3; ++trial) {
+      const double now = 1.0;
+      const std::vector<AllocJob> jobs = random_alloc_jobs(rng, n, now, 0.0, 0.0, 0.0);
+      const double cap = cap_dist(rng);
+      for (const QualityFamily& fam : families) {
+        expect_matches_oracle(fam, now, jobs, cap, "trial " + std::to_string(trial));
+      }
+    }
+  }
+}
+
+TEST(QualityOptLevel, MatchesBisectionOracleOnDegenerateInstances) {
+  const std::vector<QualityFamily> families = quality_families();
+  std::mt19937_64 rng(2626);
+  std::uniform_real_distribution<double> cap_dist(300.0, 6000.0);
+  struct Shape {
+    const char* name;
+    double p_zero_extra, p_equal_exec, p_expired;
+  };
+  const Shape shapes[] = {{"zero-extra", 0.4, 0.0, 0.0},
+                          {"equal-exec", 0.0, 0.7, 0.0},
+                          {"expired", 0.0, 0.0, 0.7},
+                          {"all", 0.3, 0.5, 0.5}};
+  for (const Shape& shape : shapes) {
+    for (std::size_t n : {1, 2, 3, 5, 8, 17, 64, 256}) {
+      for (int trial = 0; trial < 4; ++trial) {
+        const double now = 1.0;
+        const std::vector<AllocJob> jobs = random_alloc_jobs(
+            rng, n, now, shape.p_zero_extra, shape.p_equal_exec, shape.p_expired);
+        const double cap = cap_dist(rng);
+        for (const QualityFamily& fam : families) {
+          expect_matches_oracle(fam, now, jobs, cap, shape.name);
+        }
+      }
+    }
+  }
+}
+
+TEST(QualityOptLevel, BudgetOnABreakpoint) {
+  // One shared deadline 1 s out, so the whole budget is the cap.  Levels
+  // 100, 200 and 400 are breakpoints (an e_j or an e_j + w_j); the
+  // budgets below are the allocations at exactly those levels.
+  const std::vector<AllocJob> jobs = {
+      AllocJob{0.0, 400.0, 1.0},
+      AllocJob{100.0, 300.0, 1.0},
+      AllocJob{200.0, 100.0, 1.0},
+  };
+  const std::vector<QualityFamily> families = quality_families();
+  for (const auto& [level, budget] : {std::pair{100.0, 100.0}, std::pair{200.0, 300.0},
+                                      std::pair{300.0, 600.0}, std::pair{400.0, 800.0}}) {
+    for (const QualityFamily& fam : families) {
+      expect_matches_oracle(fam, 0.0, jobs, budget,
+                            "level " + std::to_string(level));
+    }
+    QualityOptScratch scratch;
+    const std::span<const double> x = maximize_quality(0.0, jobs, budget, scratch);
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      EXPECT_NEAR(x[j], std::clamp(level - jobs[j].executed, 0.0, jobs[j].max_extra),
+                  1e-9)
+          << "level " << level << " job " << j;
+    }
+  }
+}
+
+TEST(QualityOptLevel, LinearQualityTakesTheEqualLevelSplit) {
+  // Any split is optimal for a linear f; the level solve returns the
+  // equal-level one where the oracle fills in EDF order.
+  const quality::LinearQuality f(1000.0);
+  const std::vector<AllocJob> jobs = {AllocJob{0.0, 500.0, 1.0},
+                                      AllocJob{0.0, 500.0, 1.0}};
+  QualityOptScratch scratch;
+  const std::span<const double> x = maximize_quality(0.0, jobs, 400.0, scratch);
+  EXPECT_NEAR(x[0], 200.0, 1e-9);
+  EXPECT_NEAR(x[1], 200.0, 1e-9);
+  const std::vector<double> edf = bisection_oracle::maximize_quality(0.0, jobs, 400.0, f);
+  EXPECT_NEAR(edf[0], 400.0, 1e-9);
+  EXPECT_NEAR(edf[1], 0.0, 1e-9);
+  EXPECT_NEAR(allocation_quality(jobs, x, f), allocation_quality(jobs, edf, f), 1e-12);
 }
 
 // --- Oracles: the rescanning general-release constructions ---------------

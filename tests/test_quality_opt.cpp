@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "opt/quality_opt.h"
@@ -16,6 +18,13 @@ using quality::ExponentialQuality;
 const ExponentialQuality& paper_f() {
   static const ExponentialQuality f(0.003, 1000.0);
   return f;
+}
+
+// One scratch per call; ScratchReuseMatchesFreshScratch covers reuse.
+std::vector<double> allocate(double now, std::span<const AllocJob> jobs, double cap) {
+  QualityOptScratch scratch;
+  const std::span<const double> x = maximize_quality(now, jobs, cap, scratch);
+  return {x.begin(), x.end()};
 }
 
 bool prefix_feasible(double now, const std::vector<AllocJob>& jobs,
@@ -52,25 +61,25 @@ double brute_force_quality(double now, const std::vector<AllocJob>& jobs, double
 }
 
 TEST(QualityOpt, EmptyInput) {
-  EXPECT_TRUE(maximize_quality(0.0, {}, 1000.0, paper_f()).empty());
+  EXPECT_TRUE(allocate(0.0, {}, 1000.0).empty());
 }
 
 TEST(QualityOpt, ZeroCapAllocatesNothing) {
   std::vector<AllocJob> jobs{{0.0, 300.0, 0.15}};
-  const auto x = maximize_quality(0.0, jobs, 0.0, paper_f());
+  const auto x = allocate(0.0, jobs, 0.0);
   EXPECT_DOUBLE_EQ(x[0], 0.0);
 }
 
 TEST(QualityOpt, AmpleCapacityGivesEverything) {
   std::vector<AllocJob> jobs{{0.0, 300.0, 0.5}, {100.0, 200.0, 0.8}};
-  const auto x = maximize_quality(0.0, jobs, 1e6, paper_f());
+  const auto x = allocate(0.0, jobs, 1e6);
   EXPECT_NEAR(x[0], 300.0, 1e-6);
   EXPECT_NEAR(x[1], 200.0, 1e-6);
 }
 
 TEST(QualityOpt, SingleJobCappedByWindow) {
   std::vector<AllocJob> jobs{{0.0, 500.0, 0.1}};
-  const auto x = maximize_quality(0.0, jobs, 2000.0, paper_f());
+  const auto x = allocate(0.0, jobs, 2000.0);
   EXPECT_NEAR(x[0], 200.0, 1e-6);  // 2000 u/s * 0.1 s
 }
 
@@ -78,7 +87,7 @@ TEST(QualityOpt, EqualJobsGetEqualShares) {
   // Two identical jobs sharing one deadline window: concavity says split
   // evenly rather than finishing one and starving the other.
   std::vector<AllocJob> jobs{{0.0, 400.0, 0.2}, {0.0, 400.0, 0.2}};
-  const auto x = maximize_quality(0.0, jobs, 2000.0, paper_f());
+  const auto x = allocate(0.0, jobs, 2000.0);
   EXPECT_NEAR(x[0] + x[1], 400.0, 1e-6);
   EXPECT_NEAR(x[0], x[1], 1e-5);
 }
@@ -87,13 +96,13 @@ TEST(QualityOpt, FavoursLessExecutedJob) {
   // Same remaining capacity; the job with less work done has the higher
   // marginal quality and must receive more.
   std::vector<AllocJob> jobs{{300.0, 400.0, 0.2}, {0.0, 400.0, 0.2}};
-  const auto x = maximize_quality(0.0, jobs, 2000.0, paper_f());
+  const auto x = allocate(0.0, jobs, 2000.0);
   EXPECT_GT(x[1], x[0]);
 }
 
 TEST(QualityOpt, ExpiredPrefixGetsNothing) {
   std::vector<AllocJob> jobs{{0.0, 300.0, -0.1}, {0.0, 300.0, 0.5}};
-  const auto x = maximize_quality(0.0, jobs, 2000.0, paper_f());
+  const auto x = allocate(0.0, jobs, 2000.0);
   EXPECT_NEAR(x[0], 0.0, 1e-9);
   EXPECT_NEAR(x[1], 300.0, 1e-6);
 }
@@ -102,7 +111,7 @@ TEST(QualityOpt, TightFirstDeadlineLimitsFirstJob) {
   // Job 1 has a very short window; job 2 has plenty.  The prefix constraint
   // on job 1 must bind while job 2 still completes.
   std::vector<AllocJob> jobs{{0.0, 500.0, 0.05}, {0.0, 100.0, 1.0}};
-  const auto x = maximize_quality(0.0, jobs, 2000.0, paper_f());
+  const auto x = allocate(0.0, jobs, 2000.0);
   EXPECT_NEAR(x[0], 100.0, 1e-6);  // 2000 * 0.05
   EXPECT_NEAR(x[1], 100.0, 1e-6);
 }
@@ -119,7 +128,7 @@ TEST(QualityOpt, MatchesBruteForceOnSmallInstances) {
                               deadline});
     }
     const double cap = rng.uniform(500.0, 3000.0);
-    const auto x = maximize_quality(0.0, jobs, cap, paper_f());
+    const auto x = allocate(0.0, jobs, cap);
     ASSERT_TRUE(prefix_feasible(0.0, jobs, x, cap));
     const double got = allocation_quality(jobs, x, paper_f());
     const double best = brute_force_quality(0.0, jobs, cap);
@@ -145,7 +154,7 @@ TEST_P(QualityOptRandom, FeasibleAndSaturates) {
     total_extra += jobs.back().max_extra;
   }
   const double cap = rng.uniform(200.0, 4000.0);
-  const auto x = maximize_quality(0.0, jobs, cap, paper_f());
+  const auto x = allocate(0.0, jobs, cap);
   ASSERT_EQ(x.size(), n);
   ASSERT_TRUE(prefix_feasible(0.0, jobs, x, cap));
   double used = 0.0;
@@ -174,10 +183,84 @@ TEST_P(QualityOptRandom, MonotoneInCap) {
   const double cap1 = rng.uniform(100.0, 2000.0);
   const double cap2 = cap1 + rng.uniform(10.0, 2000.0);
   const double q1 =
-      allocation_quality(jobs, maximize_quality(0.0, jobs, cap1, paper_f()), paper_f());
+      allocation_quality(jobs, allocate(0.0, jobs, cap1), paper_f());
   const double q2 =
-      allocation_quality(jobs, maximize_quality(0.0, jobs, cap2, paper_f()), paper_f());
+      allocation_quality(jobs, allocate(0.0, jobs, cap2), paper_f());
   EXPECT_GE(q2, q1 - 1e-6);
+}
+
+// One scratch across calls of varying size must give the same bits as a
+// fresh scratch per call: catches state leaking between calls.
+TEST(QualityOpt, ScratchReuseMatchesFreshScratch) {
+  util::Rng rng(77);
+  QualityOptScratch scratch;
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::size_t n = 1 + rng.uniform_index(40);
+    std::vector<AllocJob> jobs;
+    double deadline = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      deadline += rng.uniform(0.005, 0.1);
+      jobs.push_back(
+          AllocJob{rng.uniform(0.0, 300.0), rng.uniform(0.0, 500.0), deadline});
+    }
+    const double cap = rng.uniform(100.0, 4000.0);
+    const std::span<const double> reused = maximize_quality(0.0, jobs, cap, scratch);
+    const std::vector<double> fresh = allocate(0.0, jobs, cap);
+    ASSERT_EQ(reused.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(reused[i], fresh[i]) << "trial " << trial << " job " << i;
+    }
+  }
+}
+
+// The paper's f, forwarding every call and counting it.
+class CountingQuality final : public quality::QualityFunction {
+ public:
+  double value(double x) const override {
+    ++calls;
+    return paper_f().value(x);
+  }
+  double derivative(double x) const override {
+    ++calls;
+    return paper_f().derivative(x);
+  }
+  double inverse(double q) const override {
+    ++calls;
+    return paper_f().inverse(q);
+  }
+  double xmax() const override {
+    ++calls;
+    return paper_f().xmax();
+  }
+  std::string name() const override { return "counting"; }
+
+  mutable std::size_t calls = 0;
+};
+
+// Complexity guard in place of a timer: the level solve is one sort plus
+// linear passes and never evaluates f, where the former theta bisection
+// made ~80 calls per job.  Zero is exact, so a return of any search over f
+// fails here deterministically.
+TEST(QualityOpt, LevelSolveNeverEvaluatesTheQualityFunction) {
+  const CountingQuality f;
+  util::Rng rng(256);
+  constexpr std::size_t kJobs = 256;
+  std::vector<AllocJob> jobs;
+  double deadline = 0.0;
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    deadline += rng.uniform(0.005, 0.05);
+    jobs.push_back(
+        AllocJob{rng.uniform(0.0, 100.0), rng.uniform(50.0, 500.0), deadline});
+  }
+  // A cap far below the demand, so prefix constraints bind and the
+  // tight-prefix recursion runs.
+  QualityOptScratch scratch;
+  const std::span<const double> x = maximize_quality(0.0, jobs, 1500.0, scratch);
+  EXPECT_EQ(f.calls, 0u);
+  ASSERT_TRUE(prefix_feasible(0.0, jobs, {x.begin(), x.end()}, 1500.0));
+  // The counter does see evaluations made through it.
+  (void)allocation_quality(jobs, x, f);
+  EXPECT_EQ(f.calls, kJobs);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, QualityOptRandom,
