@@ -3,10 +3,11 @@
 // allocator, YDS, the power model, the quality functions, plan
 // rectification, the event queue, and a full GE scheduling round.
 //
-// Emitting the machine-readable trajectory (see docs/BENCHMARKS.md):
+// Emitting the machine-readable trajectory (see docs/BENCHMARKS.md), one
+// command line (no trailing backslashes: -Wcomment, an error under -Werror):
 //
-//   bench_kernels --benchmark_repetitions=7 \
-//     --benchmark_report_aggregates_only=true \
+//   bench_kernels --benchmark_repetitions=7
+//     --benchmark_report_aggregates_only=true
 //     --benchmark_format=json --benchmark_out=BENCH_kernels.json
 //
 // tools/bench_compare.py gates regressions between two such files.
@@ -28,7 +29,6 @@
 #include "quality/quality_function.h"
 #include "quality/quality_monitor.h"
 #include "server/multicore_server.h"
-#include "sim/calendar_queue.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
@@ -319,7 +319,6 @@ BENCHMARK(BM_PlanRectifier)->Range(4, 256);
 
 // --- Event queue ------------------------------------------------------------
 
-template <typename Queue>
 void BM_EventQueuePushPop(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   ge::util::Rng rng(6);
@@ -328,7 +327,7 @@ void BM_EventQueuePushPop(benchmark::State& state) {
     t = rng.uniform(0.0, 1000.0);
   }
   for (auto _ : state) {
-    Queue queue;
+    ge::sim::EventQueue queue;
     for (double t : times) {
       queue.push(t, [] {});
     }
@@ -338,14 +337,8 @@ void BM_EventQueuePushPop(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK_TEMPLATE(BM_EventQueuePushPop, ge::sim::HeapEventQueue)
-    ->Name("BM_EventQueuePushPop")
-    ->Range(64, 16384);
-BENCHMARK_TEMPLATE(BM_EventQueuePushPop, ge::sim::CalendarEventQueue)
-    ->Name("BM_EventQueuePushPopCalendar")
-    ->Range(64, 16384);
+BENCHMARK(BM_EventQueuePushPop)->Range(64, 16384);
 
-template <typename Queue>
 void BM_EventQueueChurn(benchmark::State& state) {
   // The simulator's steady-state pattern: a rolling window of pending
   // events where every pop schedules a replacement and a third of the
@@ -355,7 +348,7 @@ void BM_EventQueueChurn(benchmark::State& state) {
   const std::size_t ops = 4 * window;
   for (auto _ : state) {
     ge::util::Rng rng(8);
-    Queue queue;
+    ge::sim::EventQueue queue;
     std::vector<ge::sim::EventId> pending;
     pending.reserve(window);
     double now = 0.0;
@@ -379,12 +372,7 @@ void BM_EventQueueChurn(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(ops));
 }
-BENCHMARK_TEMPLATE(BM_EventQueueChurn, ge::sim::HeapEventQueue)
-    ->Name("BM_EventQueueChurn")
-    ->Range(64, 4096);
-BENCHMARK_TEMPLATE(BM_EventQueueChurn, ge::sim::CalendarEventQueue)
-    ->Name("BM_EventQueueChurnCalendar")
-    ->Range(64, 4096);
+BENCHMARK(BM_EventQueueChurn)->Range(64, 4096);
 
 // --- Load estimator ---------------------------------------------------------
 

@@ -2,10 +2,11 @@
 // seconds / scheduled jobs per wall-clock second the stack sustains for the
 // main schedulers.
 //
-// Emitting the machine-readable trajectory (see docs/BENCHMARKS.md):
+// Emitting the machine-readable trajectory (see docs/BENCHMARKS.md), one
+// command line (no trailing backslashes: -Wcomment, an error under -Werror):
 //
-//   bench_simulation --benchmark_repetitions=5 \
-//     --benchmark_report_aggregates_only=true \
+//   bench_simulation --benchmark_repetitions=5
+//     --benchmark_report_aggregates_only=true
 //     --benchmark_format=json --benchmark_out=BENCH_simulation.json
 #include <benchmark/benchmark.h>
 
@@ -197,23 +198,6 @@ void BM_SimulateGE_Stream(benchmark::State& state) {
   state.counters["sim_seconds_per_iter"] = cfg.duration;
 }
 
-// Heavy GE case on the calendar event queue (--event-queue calendar).
-void BM_SimulateGE_CalendarQueue(benchmark::State& state) {
-  ge::exp::ExperimentConfig cfg = bench_config(220.0);
-  cfg.event_queue = ge::sim::EventQueueKind::kCalendar;
-  const ge::workload::Trace trace =
-      ge::workload::Trace::generate(cfg.workload_spec(), cfg.duration);
-  std::uint64_t jobs = 0;
-  for (auto _ : state) {
-    const ge::exp::RunResult r =
-        ge::exp::run_simulation(cfg, ge::exp::SchedulerSpec::parse("GE"), trace);
-    jobs += r.released;
-    benchmark::DoNotOptimize(r.energy);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(jobs));
-  state.counters["sim_seconds_per_iter"] = cfg.duration;
-}
-
 // Fig. 3-style comparison: GE/BE/FCFS across three load points through the
 // experiment engine, the shape every figure binary runs.
 void BM_SimulateFig03Sweep(benchmark::State& state) {
@@ -260,7 +244,6 @@ BENCHMARK(BM_SimulateGE_Cluster8_Shards4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 BENCHMARK(BM_SimulateGE_Stream)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SimulateGE_CalendarQueue)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SimulateFig03Sweep)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Reclaim)->Arg(15)->Arg(30)->Arg(60)->Unit(benchmark::kMillisecond);
 

@@ -100,10 +100,6 @@ ExperimentConfig apply_flags(ExperimentConfig cfg, const util::Flags& flags) {
   cfg.stream = flags.get_bool("stream", cfg.stream);
   cfg.max_jobs = static_cast<std::uint64_t>(
       flags.get_int("max-jobs", static_cast<std::int64_t>(cfg.max_jobs)));
-  const std::string queue = flags.get_string("event-queue", "");
-  if (!queue.empty()) {
-    cfg.event_queue = sim::parse_event_queue_kind(queue);
-  }
   return cfg;
 }
 

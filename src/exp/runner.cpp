@@ -146,6 +146,105 @@ void init_tenants(const ExperimentConfig& cfg, JobAccounting& acct) {
   }
 }
 
+// Builds the run's cluster.  Node i runs on node_sims[i] (every entry is
+// `control` on the serial path); `control` carries the dispatcher and the
+// cross-node events.  The cluster's dispatcher points back at it, so the
+// result must be bound in place (guaranteed elision), never moved.
+cluster::Cluster build_cluster(const ExperimentConfig& cfg,
+                               const SchedulerSpec& spec,
+                               const quality::QualityFunction& f, double budget,
+                               sim::Simulator& control,
+                               const std::vector<sim::Simulator*>& node_sims) {
+  // Every run is a cluster run; the paper's single server is the one-node
+  // cluster with the passthrough dispatcher (bit-identical results -- see
+  // src/cluster/cluster.h and the golden test in tests/test_cluster.cpp).
+  return cluster::Cluster(
+      cfg.cluster_node_specs(budget), f,
+      [&spec, &cfg](const sched::SchedulerEnv& env,
+                    const power::DiscreteSpeedTable* table) {
+        return make_scheduler(spec, env, cfg, table);
+      },
+      cfg.dispatch, cfg.seed, control, node_sims);
+}
+
+// Drain horizon: all deadlines fall within duration + the widest deadline
+// window.
+double run_horizon(const ExperimentConfig& cfg) {
+  return cfg.duration + cfg.deadline_interval_max + 2.0 * cfg.quantum;
+}
+
+// Records a job's release in the trace (both release paths emit it).
+void trace_arrival(obs::TraceBuffer& trace_buf, const workload::Job& job) {
+  obs::TraceEvent ev;
+  ev.type = obs::TraceEventType::kArrival;
+  ev.t = job.arrival;
+  ev.job = static_cast<std::int64_t>(job.id);
+  ev.a = job.demand;
+  ev.b = job.deadline;
+  ev.c = static_cast<double>(job.tenant);
+  trace_buf.push(ev);
+}
+
+// Schedules the events that are not jobs -- the power-cap check grid, the
+// core failure and the timeline sampler, in that order -- on the control
+// simulator.  Each reads or mutates servers across the cluster, so on a
+// sharded run it is a cross-shard event, exact at the barrier.  Both paths
+// call this right after the job events, so their (time, seq) orders agree.
+void schedule_control_events(const ExperimentConfig& cfg,
+                             cluster::Cluster& cluster, sim::Simulator& control,
+                             Timeline* timeline) {
+  if (cfg.verify_power) {
+    // Sample total power on a grid; no server may exceed its own budget.
+    const double step = 0.01;
+    for (double t = step; t < cfg.duration + cfg.deadline_interval_max; t += step) {
+      control.schedule_at(t, [&cluster, &control] {
+        for (std::size_t s = 0; s < cluster.size(); ++s) {
+          const server::MulticoreServer& server = cluster.node(s).server();
+          GE_CHECK(server.total_power(control.now()) <=
+                       server.power_budget() * (1.0 + 1e-6) + 1e-6,
+                   "total power exceeded the budget");
+        }
+      });
+    }
+  }
+
+  if (cfg.failure_time >= 0.0 && cfg.failure_cores > 0) {
+    control.schedule_at(cfg.failure_time, [&cluster, &control, &cfg] {
+      // Failures hit the highest-indexed cores of the highest-indexed server
+      // (validate() guarantees it has enough cores).
+      server::MulticoreServer& server = cluster.node(cluster.size() - 1).server();
+      const std::size_t n = server.core_count();
+      for (std::size_t i = n - cfg.failure_cores; i < n; ++i) {
+        server.core(i).set_offline(control.now());
+      }
+    });
+  }
+
+  if (timeline != nullptr) {
+    GE_CHECK(timeline->interval > 0.0, "timeline interval must be positive");
+    // Mode comes from node 0's scheduler; with GE on every node they switch
+    // on their own feedback, and node 0 is the representative trace.
+    auto* ge_sched =
+        dynamic_cast<sched::GoodEnoughScheduler*>(&cluster.node(0).scheduler());
+    const double horizon = run_horizon(cfg);
+    for (double t = timeline->interval; t < horizon; t += timeline->interval) {
+      control.schedule_at(t, [&cluster, &control, ge_sched, timeline] {
+        TimelinePoint point;
+        point.time = control.now();
+        point.total_power = cluster.total_power(point.time);
+        point.quality = cluster.monitored_quality();
+        point.busy_cores = cluster.busy_cores(point.time);
+        point.backlog = cluster.total_backlog();
+        if (ge_sched != nullptr) {
+          point.mode =
+              ge_sched->mode() == sched::GoodEnoughScheduler::Mode::kBq ? 1 : 0;
+        }
+        timeline->points.push_back(point);
+      });
+    }
+  }
+}
+
 // Post-run aggregation over per-job and per-node state, shared by the
 // serial and sharded paths.  Every loop walks jobs in id order and nodes in
 // node order, so the floating-point accumulation sequence depends only on
@@ -275,27 +374,22 @@ RunResult run_simulation_sharded(const ExperimentConfig& cfg,
   sim::ShardStamper stamper(nshards);
   sim::ScopedStampContext setup_scope(stamper.serial_context());
 
-  sim::Simulator global_sim(cfg.event_queue);
+  sim::Simulator global_sim;
   global_sim.set_stamp_mode(true);
-  std::vector<std::unique_ptr<sim::Simulator>> shard_sims;
-  shard_sims.reserve(nshards);
-  for (std::size_t i = 0; i < nshards; ++i) {
-    shard_sims.push_back(std::make_unique<sim::Simulator>(cfg.event_queue));
-    shard_sims.back()->set_stamp_mode(true);
+  std::vector<sim::Simulator> shard_sims(nshards);
+  std::vector<sim::Simulator*> shard_ptrs;
+  shard_ptrs.reserve(nshards);
+  for (sim::Simulator& shard : shard_sims) {
+    shard.set_stamp_mode(true);
+    shard_ptrs.push_back(&shard);
   }
   // Contiguous server blocks per shard, balanced to within one server.
   std::vector<sim::Simulator*> node_sims(cfg.num_servers);
   for (std::size_t s = 0; s < cfg.num_servers; ++s) {
-    node_sims[s] = shard_sims[s * nshards / cfg.num_servers].get();
+    node_sims[s] = shard_ptrs[s * nshards / cfg.num_servers];
   }
-
-  cluster::Cluster cluster(
-      cfg.cluster_node_specs(budget), f,
-      [&spec, &cfg](const sched::SchedulerEnv& env,
-                    const power::DiscreteSpeedTable* table) {
-        return make_scheduler(spec, env, cfg, table);
-      },
-      cfg.dispatch, cfg.seed, global_sim, node_sims);
+  cluster::Cluster cluster =
+      build_cluster(cfg, spec, f, budget, global_sim, node_sims);
   install_admission(cfg, cluster);
 
   RunResult result;
@@ -334,62 +428,12 @@ RunResult run_simulation_sharded(const ExperimentConfig& cfg,
     }
   }
 
-  if (cfg.verify_power) {
-    // Reads every server: a cross-shard event, exact at the barrier.
-    const double step = 0.01;
-    for (double t = step; t < cfg.duration + cfg.deadline_interval_max; t += step) {
-      global_sim.schedule_at(t, [&cluster, &global_sim] {
-        for (std::size_t s = 0; s < cluster.size(); ++s) {
-          const server::MulticoreServer& server = cluster.node(s).server();
-          GE_CHECK(server.total_power(global_sim.now()) <=
-                       server.power_budget() * (1.0 + 1e-6) + 1e-6,
-                   "total power exceeded the budget");
-        }
-      });
-    }
-  }
-
-  if (cfg.failure_time >= 0.0 && cfg.failure_cores > 0) {
-    global_sim.schedule_at(cfg.failure_time, [&cluster, &global_sim, &cfg] {
-      server::MulticoreServer& server = cluster.node(cluster.size() - 1).server();
-      const std::size_t n = server.core_count();
-      for (std::size_t i = n - cfg.failure_cores; i < n; ++i) {
-        server.core(i).set_offline(global_sim.now());
-      }
-    });
-  }
-
-  const double horizon = cfg.duration + cfg.deadline_interval_max + 2.0 * cfg.quantum;
-
-  if (timeline != nullptr) {
-    GE_CHECK(timeline->interval > 0.0, "timeline interval must be positive");
-    auto* ge_sched =
-        dynamic_cast<sched::GoodEnoughScheduler*>(&cluster.node(0).scheduler());
-    for (double t = timeline->interval; t < horizon; t += timeline->interval) {
-      global_sim.schedule_at(t, [&cluster, &global_sim, ge_sched, timeline] {
-        TimelinePoint point;
-        point.time = global_sim.now();
-        point.total_power = cluster.total_power(point.time);
-        point.quality = cluster.monitored_quality();
-        point.busy_cores = cluster.busy_cores(point.time);
-        point.backlog = cluster.total_backlog();
-        if (ge_sched != nullptr) {
-          point.mode =
-              ge_sched->mode() == sched::GoodEnoughScheduler::Mode::kBq ? 1 : 0;
-        }
-        timeline->points.push_back(point);
-      });
-    }
-  }
+  schedule_control_events(cfg, cluster, global_sim, timeline);
+  const double horizon = run_horizon(cfg);
 
   {
     util::ThreadPool pool(
         std::min(nshards, util::ThreadPool::default_concurrency()));
-    std::vector<sim::Simulator*> shard_ptrs;
-    shard_ptrs.reserve(nshards);
-    for (const auto& s : shard_sims) {
-      shard_ptrs.push_back(s.get());
-    }
     sim::ShardExecutor exec(global_sim, std::move(shard_ptrs), stamper, pool);
     cluster.start();
     exec.run(horizon);
@@ -432,7 +476,7 @@ RunResult run_simulation_impl(const ExperimentConfig& cfg,
   if (nshards > 1) {
     return run_simulation_sharded(cfg, spec, *trace, timeline, nshards);
   }
-  sim::Simulator sim(cfg.event_queue);
+  sim::Simulator sim;
   // Install telemetry before any component is built: cores and schedulers
   // cache their handles at construction.
   obs::Telemetry tel_view;
@@ -449,16 +493,9 @@ RunResult run_simulation_impl(const ExperimentConfig& cfg,
   const std::unique_ptr<quality::QualityFunction> fp = cfg.make_quality_function();
   const quality::QualityFunction& f = *fp;
 
-  // Every run is a cluster run; the paper's single server is the one-node
-  // cluster with the passthrough dispatcher (bit-identical results -- see
-  // src/cluster/cluster.h and the golden test in tests/test_cluster.cpp).
-  cluster::Cluster cluster(
-      cfg.cluster_node_specs(budget), f,
-      [&spec, &cfg](const sched::SchedulerEnv& env,
-                    const power::DiscreteSpeedTable* table) {
-        return make_scheduler(spec, env, cfg, table);
-      },
-      cfg.dispatch, cfg.seed, sim);
+  cluster::Cluster cluster = build_cluster(
+      cfg, spec, f, budget, sim,
+      std::vector<sim::Simulator*>(cfg.num_servers, &sim));
   install_admission(cfg, cluster);
 
   // The watchdog observes the trace buffer live, re-deriving each invariant
@@ -494,14 +531,7 @@ RunResult run_simulation_impl(const ExperimentConfig& cfg,
     for (workload::Job& job : jobs) {
       sim.schedule_at(job.arrival, [&cluster, &job, trace_buf] {
         if (trace_buf != nullptr) {
-          obs::TraceEvent ev;
-          ev.type = obs::TraceEventType::kArrival;
-          ev.t = job.arrival;
-          ev.job = static_cast<std::int64_t>(job.id);
-          ev.a = job.demand;
-          ev.b = job.deadline;
-          ev.c = static_cast<double>(job.tenant);
-          trace_buf->push(ev);
+          trace_arrival(*trace_buf, job);
         }
         cluster.on_job_arrival(&job);
       });
@@ -550,72 +580,15 @@ RunResult run_simulation_impl(const ExperimentConfig& cfg,
       });
       stage_next();
       if (trace_buf != nullptr) {
-        obs::TraceEvent ev;
-        ev.type = obs::TraceEventType::kArrival;
-        ev.t = job->arrival;
-        ev.job = static_cast<std::int64_t>(job->id);
-        ev.a = job->demand;
-        ev.b = job->deadline;
-        ev.c = static_cast<double>(job->tenant);
-        trace_buf->push(ev);
+        trace_arrival(*trace_buf, *job);
       }
       cluster.on_job_arrival(job);
     };
     stage_next();  // first arrival gets seq 1, like the materialised path
   }
 
-  if (cfg.verify_power) {
-    // Sample total power on a grid; no server may exceed its own budget.
-    const double step = 0.01;
-    for (double t = step; t < cfg.duration + cfg.deadline_interval_max; t += step) {
-      sim.schedule_at(t, [&cluster, &sim] {
-        for (std::size_t s = 0; s < cluster.size(); ++s) {
-          const server::MulticoreServer& server = cluster.node(s).server();
-          GE_CHECK(server.total_power(sim.now()) <=
-                       server.power_budget() * (1.0 + 1e-6) + 1e-6,
-                   "total power exceeded the budget");
-        }
-      });
-    }
-  }
-
-  if (cfg.failure_time >= 0.0 && cfg.failure_cores > 0) {
-    sim.schedule_at(cfg.failure_time, [&cluster, &sim, &cfg] {
-      // Failures hit the highest-indexed cores of the highest-indexed server
-      // (validate() guarantees it has enough cores).
-      server::MulticoreServer& server = cluster.node(cluster.size() - 1).server();
-      const std::size_t n = server.core_count();
-      for (std::size_t i = n - cfg.failure_cores; i < n; ++i) {
-        server.core(i).set_offline(sim.now());
-      }
-    });
-  }
-
-  // Drain: all deadlines fall within duration + the widest deadline window.
-  const double horizon = cfg.duration + cfg.deadline_interval_max + 2.0 * cfg.quantum;
-
-  if (timeline != nullptr) {
-    GE_CHECK(timeline->interval > 0.0, "timeline interval must be positive");
-    // Mode comes from node 0's scheduler; with GE on every node they switch
-    // on their own feedback, and node 0 is the representative trace.
-    auto* ge_sched =
-        dynamic_cast<sched::GoodEnoughScheduler*>(&cluster.node(0).scheduler());
-    for (double t = timeline->interval; t < horizon; t += timeline->interval) {
-      sim.schedule_at(t, [&cluster, &sim, ge_sched, timeline] {
-        TimelinePoint point;
-        point.time = sim.now();
-        point.total_power = cluster.total_power(point.time);
-        point.quality = cluster.monitored_quality();
-        point.busy_cores = cluster.busy_cores(point.time);
-        point.backlog = cluster.total_backlog();
-        if (ge_sched != nullptr) {
-          point.mode =
-              ge_sched->mode() == sched::GoodEnoughScheduler::Mode::kBq ? 1 : 0;
-        }
-        timeline->points.push_back(point);
-      });
-    }
-  }
+  schedule_control_events(cfg, cluster, sim, timeline);
+  const double horizon = run_horizon(cfg);
 
   {
     obs::ScopedTimer run_timer(

@@ -2,43 +2,9 @@
 
 #include <algorithm>
 
-#include "sim/calendar_queue.h"
 #include "util/check.h"
 
 namespace ge::sim {
-
-std::string to_string(EventQueueKind kind) {
-  switch (kind) {
-    case EventQueueKind::kHeap:
-      return "heap";
-    case EventQueueKind::kCalendar:
-      return "calendar";
-  }
-  GE_CHECK(false, "unknown EventQueueKind");
-  return {};
-}
-
-EventQueueKind parse_event_queue_kind(const std::string& name) {
-  if (name == "heap") {
-    return EventQueueKind::kHeap;
-  }
-  if (name == "calendar") {
-    return EventQueueKind::kCalendar;
-  }
-  GE_CHECK(false, "unknown event queue kind (want heap|calendar)");
-  return EventQueueKind::kHeap;
-}
-
-std::unique_ptr<EventQueue> EventQueue::create(EventQueueKind kind) {
-  switch (kind) {
-    case EventQueueKind::kHeap:
-      return std::make_unique<HeapEventQueue>();
-    case EventQueueKind::kCalendar:
-      return std::make_unique<CalendarEventQueue>();
-  }
-  GE_CHECK(false, "unknown EventQueueKind");
-  return nullptr;
-}
 
 EventId EventQueue::push(double time, std::function<void()> action) {
   return push_with_seq(time, next_seq_++, std::move(action));
@@ -62,7 +28,8 @@ EventId EventQueue::push_with_seq(double time, std::uint64_t seq,
   if (live_count_ > peak_live_) {
     peak_live_ = live_count_;
   }
-  insert(Entry{time, seq, slot, std::move(action)});
+  heap_.push_back(Entry{time, seq, slot, std::move(action)});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
   return encode(slot, slots_[slot].gen);
 }
 
@@ -95,51 +62,36 @@ void EventQueue::release_slot(std::uint32_t slot) const {
 
 double EventQueue::next_time() const {
   GE_CHECK(!empty(), "next_time() on empty queue");
-  return peek_min().time;
+  skim();
+  return heap_.front().time;
 }
 
 void EventQueue::next_key(double& time, std::uint64_t& seq) const {
   GE_CHECK(!empty(), "next_key() on empty queue");
-  const Entry& min = peek_min();
-  time = min.time;
-  seq = min.seq;
+  skim();
+  time = heap_.front().time;
+  seq = heap_.front().seq;
 }
 
 Event EventQueue::pop() {
   GE_CHECK(!empty(), "pop() on empty queue");
-  Entry entry = remove_min();
+  skim();
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  Entry entry = std::move(heap_.back());
+  heap_.pop_back();
   const EventId id = encode(entry.slot, slots_[entry.slot].gen);
   release_slot(entry.slot);
   --live_count_;
   return Event{entry.time, id, std::move(entry.action)};
 }
 
-// --- HeapEventQueue ---
-
-void HeapEventQueue::insert(Entry entry) {
-  heap_.push_back(std::move(entry));
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
-}
-
-void HeapEventQueue::skim() const {
-  while (!heap_.empty() && slot_dead(heap_.front().slot)) {
+void EventQueue::skim() const {
+  while (!heap_.empty() &&
+         slots_[heap_.front().slot].state != SlotState::kLive) {
     release_slot(heap_.front().slot);
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();
   }
-}
-
-const EventQueue::Entry& HeapEventQueue::peek_min() const {
-  skim();
-  return heap_.front();
-}
-
-EventQueue::Entry HeapEventQueue::remove_min() {
-  skim();
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  Entry entry = std::move(heap_.back());
-  heap_.pop_back();
-  return entry;
 }
 
 }  // namespace ge::sim

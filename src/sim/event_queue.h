@@ -1,57 +1,36 @@
-// Pending-event set for the discrete-event simulator.
+// Pending-event set for the discrete-event simulator: a binary min-heap
+// keyed by (time, sequence number), O(log n) push/pop.
 //
-// `EventQueue` is the abstract interface; two implementations are provided
-// and selectable per run (exp::ExperimentConfig::event_queue, --event-queue):
-//
-//   * HeapEventQueue (default): a binary min-heap keyed by
-//     (time, sequence number) -- O(log n) push/pop.
-//   * CalendarEventQueue: a calendar queue (Brown, CACM 1988) -- an array of
-//     time-bucketed sorted lists with O(1) amortized push/pop under the
-//     roughly uniform event-time distributions a DES produces.  See
-//     calendar_queue.h.
-//
-// Ordering contract (shared by all implementations): events pop in
-// non-decreasing time order, ties broken by scheduling order (a per-queue
-// monotone sequence number).  Because (time, seq) is a total order, every
-// conforming implementation pops the exact same event sequence -- simulation
-// results are bit-identical across queue kinds, not merely equivalent.  The
-// differential suite in tests/test_sim.cpp and the fuzz leg in
-// tests/test_fuzz_e2e.cpp enforce this.
+// Ordering contract: events pop in non-decreasing time order, ties broken by
+// scheduling order (a per-queue monotone sequence number).  (time, seq) is a
+// total order, so the pop sequence -- and with it every simulation result --
+// is a pure function of the push sequence.  tests/test_sim.cpp and the
+// reference-model check in tests/test_kernel_equivalence.cpp pin it.
 //
 // Cancellation is lazy: a cancelled event is marked dead in the slot table
-// and its entry is dropped when it surfaces at a structural boundary (heap
-// top / bucket back).
+// and its entry is dropped when it surfaces at the heap top.
 //
 // Slot recycling: event liveness used to live in a flat byte-per-id table
 // that grew with every id ever issued -- O(total events) resident memory,
 // which defeats bounded-memory streaming replay.  Ids are now generational
 // handles: the low 32 bits name a slot in a recycled table, the high 32 bits
 // carry the slot's generation, and +1 keeps 0 as kInvalidEventId.  A slot
-// returns to the free list when its entry physically leaves the structure
-// (pop or dead-entry skim), so the table size tracks *pending* events.
-// Stale handles fail the generation check, preserving the old API promise
-// that cancel()/is_pending() on an executed id are a safe no-op.  The
-// tie-break sequence number is deliberately separate from the id so
-// recycling cannot perturb event order.
+// returns to the free list when its entry physically leaves the heap (pop or
+// dead-entry skim), so the table size tracks *pending* events.  Stale handles
+// fail the generation check, preserving the old API promise that
+// cancel()/is_pending() on an executed id are a safe no-op.  The tie-break
+// sequence number is deliberately separate from the id so recycling cannot
+// perturb event order.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <string>
 #include <vector>
 
 namespace ge::sim {
 
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
-
-// Which EventQueue implementation a Simulator uses.
-enum class EventQueueKind : std::uint8_t { kHeap, kCalendar };
-
-// "heap" / "calendar"; parse is case-sensitive and GE_CHECKs on junk.
-std::string to_string(EventQueueKind kind);
-EventQueueKind parse_event_queue_kind(const std::string& name);
 
 struct Event {
   double time = 0.0;
@@ -61,10 +40,6 @@ struct Event {
 
 class EventQueue {
  public:
-  virtual ~EventQueue() = default;
-
-  static std::unique_ptr<EventQueue> create(EventQueueKind kind);
-
   // Inserts an event and returns its id.  Ids are unique among *pending*
   // events; a fresh queue that never recycles hands out 1, 2, 3, ...
   EventId push(double time, std::function<void()> action);
@@ -105,9 +80,9 @@ class EventQueue {
   std::size_t peak_live() const noexcept { return peak_live_; }
   std::uint64_t total_pushed() const noexcept { return next_seq_ - 1; }
 
- protected:
-  // One pending (or lazily-dead) event inside a concrete structure.  `seq`
-  // is the tie-break; `slot` indexes the shared slot table.
+ private:
+  // One pending (or lazily-dead) event in the heap.  `seq` is the
+  // tie-break; `slot` indexes the slot table.
   struct Entry {
     double time;
     std::uint64_t seq;
@@ -115,32 +90,16 @@ class EventQueue {
     std::function<void()> action;
   };
 
-  // (time, seq) strict weak ordering helpers.
-  static bool entry_before(const Entry& a, const Entry& b) noexcept {
-    if (a.time != b.time) {
-      return a.time < b.time;
+  // Heap comparator: (time, seq) reversed, so the earliest entry is on top.
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const noexcept {
+      if (a.time != b.time) {
+        return b.time < a.time;
+      }
+      return b.seq < a.seq;
     }
-    return a.seq < b.seq;
-  }
+  };
 
-  bool slot_dead(std::uint32_t slot) const noexcept {
-    return slots_[slot].state != SlotState::kLive;
-  }
-  // Returns a physically-removed entry's slot to the free list.  Concrete
-  // structures call this whenever they drop a dead entry; the base calls it
-  // on pop.  `mutable` path: skimming happens inside const next_time().
-  void release_slot(std::uint32_t slot) const;
-
-  // --- implemented by the concrete structure ---
-  virtual void insert(Entry entry) = 0;
-  // Earliest live entry; never called on an empty queue.  May skim dead
-  // entries (releasing their slots).  The reference is valid only until the
-  // next mutation.
-  virtual const Entry& peek_min() const = 0;
-  // Removes and returns the earliest live entry; never called empty.
-  virtual Entry remove_min() = 0;
-
- private:
   enum class SlotState : std::uint8_t { kFree, kLive, kCancelled };
   struct Slot {
     std::uint32_t gen = 0;
@@ -151,31 +110,20 @@ class EventQueue {
     return ((static_cast<EventId>(gen) << 32) | slot) + 1;
   }
 
+  // Returns a physically-removed entry's slot to the free list.  `mutable`
+  // path: skimming happens inside const next_time().
+  void release_slot(std::uint32_t slot) const;
+
+  // Pops dead entries off the top of the heap, so that on a non-empty queue
+  // heap_.front() is the earliest live entry.
+  void skim() const;
+
+  mutable std::vector<Entry> heap_;
   mutable std::vector<Slot> slots_;
   mutable std::vector<std::uint32_t> free_slots_;  // LIFO
   std::size_t live_count_ = 0;
   std::size_t peak_live_ = 0;
   std::uint64_t next_seq_ = 1;  // tie-break; equals the legacy event id
-};
-
-// The default implementation: binary min-heap on (time, seq).
-class HeapEventQueue final : public EventQueue {
- protected:
-  void insert(Entry entry) override;
-  const Entry& peek_min() const override;
-  Entry remove_min() override;
-
- private:
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const noexcept {
-      return entry_before(b, a);
-    }
-  };
-
-  // Pops dead entries off the top of the heap.
-  void skim() const;
-
-  mutable std::vector<Entry> heap_;
 };
 
 }  // namespace ge::sim

@@ -1,5 +1,6 @@
 #include "util/flags.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 namespace ge::util {
@@ -41,6 +42,7 @@ Flags::Flags(int argc, const char* const* argv) {
 }
 
 std::optional<std::string> Flags::find(std::string_view name) const {
+  asked_.emplace(name);
   // Last occurrence wins so callers can override defaults on the command line.
   std::optional<std::string> result;
   for (const auto& [key, value] : values_) {
@@ -49,6 +51,17 @@ std::optional<std::string> Flags::find(std::string_view name) const {
     }
   }
   return result;
+}
+
+std::vector<std::string> Flags::unknown() const {
+  std::vector<std::string> out;
+  for (const auto& [key, value] : values_) {
+    if (!asked_.contains(key) &&
+        std::find(out.begin(), out.end(), key) == out.end()) {
+      out.push_back(key);
+    }
+  }
+  return out;
 }
 
 bool Flags::has(std::string_view name) const { return find(name).has_value(); }

@@ -1,11 +1,17 @@
 // Minimal command-line flag parser for the bench/example binaries.
 //
 // Supports --name value and --name=value forms plus typed accessors with
-// defaults.  Unknown flags are tolerated and reported through unknown()
-// (google-benchmark binaries share argv with their own flags).
+// defaults.  Every name a getter asks for is recorded; unknown() lists the
+// given flags nobody asked for, so a tool that reads all of its flags up
+// front can reject a typo or a removed flag instead of ignoring it.  Others
+// tolerate them (google-benchmark binaries share argv with their own flags).
+// Because lookups record names, even the const accessors must not run
+// concurrently on one Flags.
 #pragma once
 
+#include <functional>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,6 +32,10 @@ class Flags {
   std::vector<double> get_double_list(std::string_view name,
                                       std::vector<double> default_value) const;
 
+  // Flag names given on the command line that no accessor has asked for
+  // yet, in order of first appearance, each once.
+  std::vector<std::string> unknown() const;
+
   // Positional (non-flag) arguments in order of appearance.
   const std::vector<std::string>& positional() const noexcept { return positional_; }
 
@@ -34,6 +44,7 @@ class Flags {
 
   std::vector<std::pair<std::string, std::string>> values_;
   std::vector<std::string> positional_;
+  mutable std::set<std::string, std::less<>> asked_;
 };
 
 }  // namespace ge::util

@@ -32,7 +32,6 @@
 #include "opt/job_cutter.h"
 #include "power/power_model.h"
 #include "quality/quality_function.h"
-#include "sim/calendar_queue.h"
 #include "sim/event_queue.h"
 #include "workload/trace.h"
 
@@ -325,16 +324,14 @@ TEST(KernelEquivalence, CutLevelBisectionStillMeetsTarget) {
 }
 
 // ---------------------------------------------------------------------------
-// 3. EventQueue implementations (generational slot table) vs a reference
-//    model (ordered map keyed by (time, push order)) under random
+// 3. The EventQueue heap (generational slot table) vs a reference model
+//    (ordered map keyed by (time, push order)) under random
 //    push/cancel/pop interleavings, including cancels of invalid, executed,
-//    already-cancelled and stale (recycled-slot) ids.  Runs against both the
-//    heap and the calendar queue.
+//    already-cancelled and stale (recycled-slot) ids.
 // ---------------------------------------------------------------------------
 
-template <typename Queue>
-void event_queue_matches_reference_model() {
-  Queue queue;
+TEST(KernelEquivalence, HeapEventQueueMatchesReferenceModel) {
+  sim::EventQueue queue;
   // Continuous random times make key collisions measure-zero, so ordering
   // by (time, push order) matches the queue's (time, seq) contract.
   std::map<std::pair<double, std::uint64_t>, sim::EventId> model;
@@ -400,17 +397,8 @@ void event_queue_matches_reference_model() {
   EXPECT_TRUE(queue.empty());
 }
 
-TEST(KernelEquivalence, HeapEventQueueMatchesReferenceModel) {
-  event_queue_matches_reference_model<sim::HeapEventQueue>();
-}
-
-TEST(KernelEquivalence, CalendarEventQueueMatchesReferenceModel) {
-  event_queue_matches_reference_model<sim::CalendarEventQueue>();
-}
-
-template <typename Queue>
-void event_queue_is_pending_tracks_lifecycle() {
-  Queue queue;
+TEST(KernelEquivalence, HeapEventQueueIsPendingTracksLifecycle) {
+  sim::EventQueue queue;
   EXPECT_FALSE(queue.is_pending(sim::kInvalidEventId));
   EXPECT_FALSE(queue.is_pending(1));  // not yet issued
   const sim::EventId a = queue.push(1.0, [] {});
@@ -425,14 +413,6 @@ void event_queue_is_pending_tracks_lifecycle() {
   EXPECT_EQ(ev.id, a);
   EXPECT_FALSE(queue.is_pending(a));
   EXPECT_TRUE(queue.empty());
-}
-
-TEST(KernelEquivalence, HeapEventQueueIsPendingTracksLifecycle) {
-  event_queue_is_pending_tracks_lifecycle<sim::HeapEventQueue>();
-}
-
-TEST(KernelEquivalence, CalendarEventQueueIsPendingTracksLifecycle) {
-  event_queue_is_pending_tracks_lifecycle<sim::CalendarEventQueue>();
 }
 
 }  // namespace

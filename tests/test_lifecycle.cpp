@@ -19,7 +19,6 @@
 #include "exp/runner.h"
 #include "exp/scheduler_spec.h"
 #include "obs/telemetry.h"
-#include "sim/event_queue.h"
 #include "sim/simulator.h"
 #include "workload/trace.h"
 
@@ -601,7 +600,6 @@ std::vector<GoldenConfig> golden_configs() {
     c.seed = 38;
     c.failure_time = 1.0;
     c.failure_cores = 2;
-    c.event_queue = sim::EventQueueKind::kCalendar;
     cases.push_back({"GE", c});
   }
   return cases;

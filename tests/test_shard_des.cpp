@@ -33,7 +33,6 @@
 #include "exp/scheduler_spec.h"
 #include "power/power_model.h"
 #include "quality/quality_function.h"
-#include "sim/event_queue.h"
 #include "sim/shard_exec.h"
 #include "sim/simulator.h"
 #include "util/thread_pool.h"
@@ -510,7 +509,6 @@ std::vector<GoldenCase> golden_cases() {
     c.seed = 38;
     c.failure_time = 1.0;
     c.failure_cores = 2;
-    c.event_queue = sim::EventQueueKind::kCalendar;
     cases.push_back({"GE", c});
   }
   return cases;

@@ -1,36 +1,19 @@
-// Unit tests for the discrete-event engine.
-//
-// The EventQueue contract tests run as a typed suite over every
-// implementation (heap and calendar): both must honour the exact same
-// (time, scheduling-order) dequeue contract, which is what makes the queue
-// kind a pure performance knob.
+// Unit tests for the discrete-event engine: the EventQueue's
+// (time, scheduling-order) dequeue contract and the Simulator built on it.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <utility>
+#include <functional>
 #include <vector>
 
-#include "sim/calendar_queue.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
-#include "util/rng.h"
 
 namespace ge::sim {
 namespace {
 
-template <typename Queue>
-class EventQueueContract : public ::testing::Test {
- protected:
-  Queue q;
-};
-
-using QueueKinds = ::testing::Types<HeapEventQueue, CalendarEventQueue>;
-TYPED_TEST_SUITE(EventQueueContract, QueueKinds);
-
-TYPED_TEST(EventQueueContract, PopsInTimeOrder) {
-  auto& q = this->q;
+TEST(EventQueueContract, PopsInTimeOrder) {
+  EventQueue q;
   std::vector<int> order;
   q.push(3.0, [&] { order.push_back(3); });
   q.push(1.0, [&] { order.push_back(1); });
@@ -41,8 +24,8 @@ TYPED_TEST(EventQueueContract, PopsInTimeOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TYPED_TEST(EventQueueContract, TiesBreakInSchedulingOrder) {
-  auto& q = this->q;
+TEST(EventQueueContract, TiesBreakInSchedulingOrder) {
+  EventQueue q;
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
     q.push(5.0, [&order, i] { order.push_back(i); });
@@ -55,8 +38,8 @@ TYPED_TEST(EventQueueContract, TiesBreakInSchedulingOrder) {
   }
 }
 
-TYPED_TEST(EventQueueContract, CancelRemovesEvent) {
-  auto& q = this->q;
+TEST(EventQueueContract, CancelRemovesEvent) {
+  EventQueue q;
   bool ran = false;
   const EventId id = q.push(1.0, [&] { ran = true; });
   EXPECT_TRUE(q.cancel(id));
@@ -64,28 +47,28 @@ TYPED_TEST(EventQueueContract, CancelRemovesEvent) {
   EXPECT_FALSE(ran);
 }
 
-TYPED_TEST(EventQueueContract, CancelUnknownIdIsNoop) {
-  auto& q = this->q;
+TEST(EventQueueContract, CancelUnknownIdIsNoop) {
+  EventQueue q;
   EXPECT_FALSE(q.cancel(12345));
   EXPECT_FALSE(q.cancel(kInvalidEventId));
 }
 
-TYPED_TEST(EventQueueContract, CancelExecutedIdIsNoop) {
-  auto& q = this->q;
+TEST(EventQueueContract, CancelExecutedIdIsNoop) {
+  EventQueue q;
   const EventId id = q.push(1.0, [] {});
   q.pop().action();
   EXPECT_FALSE(q.cancel(id));
 }
 
-TYPED_TEST(EventQueueContract, DoubleCancelReturnsFalse) {
-  auto& q = this->q;
+TEST(EventQueueContract, DoubleCancelReturnsFalse) {
+  EventQueue q;
   const EventId id = q.push(1.0, [] {});
   EXPECT_TRUE(q.cancel(id));
   EXPECT_FALSE(q.cancel(id));
 }
 
-TYPED_TEST(EventQueueContract, SizeCountsLiveEvents) {
-  auto& q = this->q;
+TEST(EventQueueContract, SizeCountsLiveEvents) {
+  EventQueue q;
   const EventId a = q.push(1.0, [] {});
   q.push(2.0, [] {});
   EXPECT_EQ(q.size(), 2u);
@@ -94,8 +77,8 @@ TYPED_TEST(EventQueueContract, SizeCountsLiveEvents) {
   EXPECT_DOUBLE_EQ(q.next_time(), 2.0);
 }
 
-TYPED_TEST(EventQueueContract, CancelMiddleOfEqualTimestamps) {
-  auto& q = this->q;
+TEST(EventQueueContract, CancelMiddleOfEqualTimestamps) {
+  EventQueue q;
   std::vector<int> order;
   q.push(1.0, [&] { order.push_back(0); });
   const EventId mid = q.push(1.0, [&] { order.push_back(1); });
@@ -107,11 +90,11 @@ TYPED_TEST(EventQueueContract, CancelMiddleOfEqualTimestamps) {
   EXPECT_EQ(order, (std::vector<int>{0, 2}));
 }
 
-TYPED_TEST(EventQueueContract, SlotTableRecyclesRetiredIds) {
+TEST(EventQueueContract, SlotTableRecyclesRetiredIds) {
   // The liveness table must track *pending* events, not every id ever
   // issued: a long push/pop chain with a bounded working set keeps a
   // bounded slot table (the O(max_job_id) regression this guards against).
-  auto& q = this->q;
+  EventQueue q;
   for (int i = 0; i < 10; ++i) {
     q.push(static_cast<double>(i), [] {});
   }
@@ -125,10 +108,10 @@ TYPED_TEST(EventQueueContract, SlotTableRecyclesRetiredIds) {
   EXPECT_LE(q.peak_live(), 11u);
 }
 
-TYPED_TEST(EventQueueContract, RecycledSlotsKeepHandlesDistinct) {
+TEST(EventQueueContract, RecycledSlotsKeepHandlesDistinct) {
   // A recycled slot's new id must not alias the retired one: the old
   // handle stays dead for cancel()/is_pending() and the new one is live.
-  auto& q = this->q;
+  EventQueue q;
   const EventId first = q.push(1.0, [] {});
   q.pop();
   const EventId second = q.push(2.0, [] {});
@@ -137,65 +120,6 @@ TYPED_TEST(EventQueueContract, RecycledSlotsKeepHandlesDistinct) {
   EXPECT_TRUE(q.is_pending(second));
   EXPECT_FALSE(q.cancel(first));
   EXPECT_TRUE(q.cancel(second));
-}
-
-// Differential: the heap and the calendar queue must produce the identical
-// pop sequence under a randomized push/pop/cancel workload, including
-// timestamp collisions and pushes behind the current minimum (the raw queue
-// API permits them even though the Simulator never schedules in the past).
-TEST(EventQueueDifferential, HeapAndCalendarPopIdentically) {
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    HeapEventQueue heap;
-    CalendarEventQueue calendar;
-    util::Rng rng(seed);
-    std::vector<std::pair<EventId, EventId>> live;  // (heap id, calendar id)
-    std::vector<int> pops_heap;
-    std::vector<int> pops_cal;
-    int tag = 0;
-    const auto push_both = [&](double t) {
-      const int id = tag++;
-      live.emplace_back(heap.push(t, [&pops_heap, id] { pops_heap.push_back(id); }),
-                        calendar.push(t, [&pops_cal, id] { pops_cal.push_back(id); }));
-    };
-    const auto pop_both = [&](int step) {
-      ASSERT_DOUBLE_EQ(heap.next_time(), calendar.next_time());
-      Event he = heap.pop();
-      Event ce = calendar.pop();
-      ASSERT_EQ(he.time, ce.time) << "seed " << seed << " step " << step;
-      he.action();
-      ce.action();
-      ASSERT_EQ(pops_heap.back(), pops_cal.back())
-          << "seed " << seed << " step " << step;
-      std::erase_if(live,
-                    [&](const auto& pair) { return pair.first == he.id; });
-    };
-    for (int step = 0; step < 4000; ++step) {
-      const double p = rng.uniform(0.0, 1.0);
-      if (p < 0.55 || heap.empty()) {
-        // Coarse grid forces frequent timestamp ties; occasional pushes at
-        // time 0 land behind the cursor after earlier pops.
-        const double t =
-            (rng.uniform(0.0, 1.0) < 0.05)
-                ? 0.0
-                : std::floor(rng.uniform(0.0, 400.0)) * 0.25;
-        push_both(t);
-      } else if (p < 0.75 && !live.empty()) {
-        const std::size_t victim = static_cast<std::size_t>(
-            rng.uniform(0.0, static_cast<double>(live.size())));
-        const auto [hid, cid] = live[victim];
-        EXPECT_EQ(heap.cancel(hid), calendar.cancel(cid));
-        live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
-      } else {
-        pop_both(step);
-      }
-      ASSERT_EQ(heap.size(), calendar.size());
-    }
-    while (!heap.empty()) {
-      pop_both(-1);
-    }
-    EXPECT_TRUE(calendar.empty());
-    EXPECT_EQ(pops_heap, pops_cal);
-  }
 }
 
 TEST(Simulator, ClockAdvancesWithEvents) {

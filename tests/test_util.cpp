@@ -254,6 +254,22 @@ TEST(Flags, LastOccurrenceWins) {
   EXPECT_EQ(flags.get_int("x", 0), 2);
 }
 
+TEST(Flags, UnknownListsGivenFlagsNobodyAskedFor) {
+  const char* argv[] = {"prog",    "--rate", "150",     "--bogus=1",
+                        "--quiet", "pos",    "--bogus", "2"};
+  Flags flags(8, argv);
+  // Nothing asked yet: every given name, once, in order of first appearance.
+  EXPECT_EQ(flags.unknown(),
+            (std::vector<std::string>{"rate", "bogus", "quiet"}));
+  flags.get_double("rate", 0.0);
+  EXPECT_TRUE(flags.has("quiet"));
+  // Asking for an absent name neither adds nor hides anything.
+  flags.get_string("absent", "");
+  EXPECT_EQ(flags.unknown(), (std::vector<std::string>{"bogus"}));
+  flags.get_int("bogus", 0);
+  EXPECT_TRUE(flags.unknown().empty());
+}
+
 TEST(Flags, PositionalArguments) {
   const char* argv[] = {"prog", "file.csv", "--x=1", "other"};
   Flags flags(4, argv);

@@ -79,9 +79,25 @@ int main(int argc, char** argv) {
       flags.get_double_list("rates", {base.arrival_rate});
 
   const exp::ExecutionOptions exec = exp::parse_execution_options(flags);
+  const bool json = flags.get_bool("json", false);
+  const bool csv = flags.get_bool("csv", false);
+  const std::string metric = flags.get_string("metric", "quality");
+  // Every flag has been read: anything left is a typo or a removed flag, and
+  // running on defaults would silently answer a different question.
+  const std::vector<std::string> unknown = flags.unknown();
+  if (!unknown.empty()) {
+    std::string names;
+    for (const std::string& name : unknown) {
+      names += (names.empty() ? "--" : ", --") + name;
+    }
+    std::fprintf(stderr, "ge_sweep: unknown flag%s %s (see docs/CLI.md)\n",
+                 unknown.size() > 1 ? "s" : "", names.c_str());
+    return 2;
+  }
+
   const auto points = exp::sweep_arrival_rates(base, specs, rates, exec);
 
-  if (flags.get_bool("json", false)) {
+  if (json) {
     // One JSON record per (rate, scheduler) run; schedulers share traces.
     for (const auto& point : points) {
       for (const auto& result : point.results) {
@@ -91,7 +107,6 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const std::string metric = flags.get_string("metric", "quality");
   const util::Table table = exp::series_table(
       points, "arrival_rate",
       [&metric](const exp::RunResult& r) { return metric_value(r, metric); },
@@ -99,7 +114,7 @@ int main(int argc, char** argv) {
   std::printf("metric: %s  (m=%zu, H=%.0fW, Q_GE=%.2f, %gs/point, seed %llu)\n",
               metric.c_str(), base.cores, base.power_budget, base.q_ge,
               base.duration, static_cast<unsigned long long>(base.seed));
-  if (flags.get_bool("csv", false)) {
+  if (csv) {
     table.print_csv(std::cout);
   } else {
     table.print(std::cout);
