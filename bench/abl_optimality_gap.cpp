@@ -9,12 +9,13 @@
 
 int main(int argc, char** argv) {
   using namespace ge;
-  bench::FigureContext ctx =
-      bench::parse_figure_args(argc, argv, {100.0, 150.0, 200.0});
   const util::Flags flags(argc, argv);
+  bench::FigureContext ctx =
+      bench::parse_figure_args(flags, {100.0, 150.0, 200.0});
   // A few seconds rather than the figure-default 60 s, unless the caller
   // insists.
   ctx.base.duration = flags.get_double("seconds", 4.0);
+  flags.exit_on_unknown("abl_optimality_gap");
   bench::print_banner(ctx, "Ablation",
                       "GE vs clairvoyant fluid-YDS reference (offline, "
                       "preemptive, unpartitioned, no budget)");

@@ -10,13 +10,23 @@
 //     --benchmark_format=json --benchmark_out=BENCH_simulation.json
 #include <benchmark/benchmark.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "exp/config.h"
 #include "exp/experiment_engine.h"
 #include "exp/runner.h"
 #include "exp/scheduler_spec.h"
 #include "obs/analysis/analysis.h"
+#include "obs/analysis/dashboard.h"
 #include "obs/analysis/reclaim.h"
+#include "obs/analysis/report.h"
+#include "obs/analysis/trace_reader.h"
 #include "obs/telemetry.h"
+#include "obs/trace.h"
 
 namespace {
 
@@ -225,6 +235,97 @@ void BM_SimulateFig03Sweep(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(jobs));
 }
 
+// The post-mortem text path on one traced run: a single-server GE run at
+// 220 req/s for 10 sim-s (~45 000 trace events, ~5 MB of JSONL), simulated
+// once per process outside every timed loop.  Each row times one layer:
+// trace rendering (JSONL, Chrome), parsing the JSONL file back, the report
+// directory (ReportWriter::add_task + write_directory) and the dashboard.
+// Files go to a scratch directory under the system temp dir.
+struct PostMortemFixture {
+  ge::obs::RunTelemetry telemetry;
+  ge::obs::analysis::TaskInput input;
+  std::filesystem::path dir;
+  std::filesystem::path jsonl;
+
+  PostMortemFixture() {
+    ge::exp::ExperimentConfig cfg = bench_config(220.0);
+    cfg.duration = 10.0;
+    const ge::workload::Trace trace =
+        ge::workload::Trace::generate(cfg.workload_spec(), cfg.duration);
+    telemetry.want_trace = true;
+    ge::exp::run_simulation(cfg, ge::exp::SchedulerSpec::parse("GE"), trace,
+                            nullptr, &telemetry);
+    input.info.scheduler = "GE";
+    input.info.arrival_rate = cfg.arrival_rate;
+    input.info.cores = cfg.cores;
+    input.info.power_budget = cfg.power_budget;
+    input.info.power_model_json = cfg.power_model().describe_json();
+    input.buffer = &telemetry.trace;
+    input.fallback_model = cfg.power_model();
+    dir = std::filesystem::temp_directory_path() / "ge_bench_post_mortem";
+    std::filesystem::create_directories(dir);
+    jsonl = dir / "trace.jsonl";
+    std::ofstream out(jsonl, std::ios::binary);
+    write_trace(out, ge::obs::TraceFormat::kJsonl);
+  }
+
+  void write_trace(std::ostream& out, ge::obs::TraceFormat format) const {
+    ge::obs::TraceWriter writer(out, format);
+    writer.append_task(input.info, telemetry.trace);
+    writer.close();
+  }
+
+  static const PostMortemFixture& get() {
+    static const PostMortemFixture fixture;
+    return fixture;
+  }
+};
+
+void trace_write(benchmark::State& state, ge::obs::TraceFormat format) {
+  const PostMortemFixture& f = PostMortemFixture::get();
+  const std::filesystem::path path = f.dir / "bench_trace.out";
+  for (auto _ : state) {
+    std::ofstream out(path, std::ios::binary);
+    f.write_trace(out, format);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(f.telemetry.trace.size()));
+}
+void BM_TraceWriteJsonl(benchmark::State& state) {
+  trace_write(state, ge::obs::TraceFormat::kJsonl);
+}
+void BM_TraceWriteChrome(benchmark::State& state) {
+  trace_write(state, ge::obs::TraceFormat::kChrome);
+}
+
+void BM_TraceReadJsonl(benchmark::State& state) {
+  const PostMortemFixture& f = PostMortemFixture::get();
+  for (auto _ : state) {
+    std::ifstream in(f.jsonl, std::ios::binary);
+    benchmark::DoNotOptimize(ge::obs::analysis::read_trace_jsonl(in));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(f.telemetry.trace.size()));
+}
+
+void BM_ReportWrite(benchmark::State& state) {
+  const PostMortemFixture& f = PostMortemFixture::get();
+  for (auto _ : state) {
+    ge::obs::analysis::ReportWriter writer;
+    writer.add_task(f.input);
+    writer.write_directory((f.dir / "report").string());
+  }
+}
+
+void BM_Dashboard(benchmark::State& state) {
+  const PostMortemFixture& f = PostMortemFixture::get();
+  const std::vector<ge::obs::analysis::TaskInput> inputs{f.input};
+  for (auto _ : state) {
+    std::ofstream out(f.dir / "dashboard.html", std::ios::binary);
+    ge::obs::analysis::write_dashboard(out, inputs, {});
+  }
+}
+
 BENCHMARK(BM_SimulateGE_Light)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SimulateGE_Heavy)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SimulateBE_Heavy)->Unit(benchmark::kMillisecond);
@@ -246,5 +347,10 @@ BENCHMARK(BM_SimulateGE_Cluster8_Shards4)
 BENCHMARK(BM_SimulateGE_Stream)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SimulateFig03Sweep)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Reclaim)->Arg(15)->Arg(30)->Arg(60)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TraceWriteJsonl)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TraceWriteChrome)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TraceReadJsonl)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ReportWrite)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Dashboard)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "fig_common.h"
 
 #include <cstdio>
+#include <filesystem>
 #include <iostream>
 
 #include "exp/flags_config.h"
@@ -9,7 +10,15 @@ namespace ge::bench {
 
 FigureContext parse_figure_args(int argc, const char* const* argv,
                                 std::vector<double> default_rates) {
-  util::Flags flags(argc, argv);
+  const util::Flags flags(argc, argv);
+  FigureContext ctx = parse_figure_args(flags, std::move(default_rates));
+  flags.exit_on_unknown(
+      argc > 0 ? std::filesystem::path(argv[0]).filename().string() : "figure");
+  return ctx;
+}
+
+FigureContext parse_figure_args(const util::Flags& flags,
+                                std::vector<double> default_rates) {
   FigureContext ctx;
   ctx.base = exp::ExperimentConfig::paper_defaults();
   ctx.base.duration = flags.get_double("seconds", 60.0);

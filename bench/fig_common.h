@@ -32,6 +32,7 @@
 // and prints one table per panel of the figure plus a note stating the
 // qualitative shape the paper reports, so EXPERIMENTS.md can record
 // paper-vs-measured directly from the output.
+// Any other flag is a usage error: one stderr line naming it, exit code 2.
 #pragma once
 
 #include <string>
@@ -55,8 +56,15 @@ struct FigureContext {
   exp::ExecutionOptions exec;
 };
 
-// Parses the common flags and applies them to the paper-default config.
+// Parses the common flags and applies them to the paper-default config;
+// exits with status 2 on a flag it does not know.
 FigureContext parse_figure_args(int argc, const char* const* argv,
+                                std::vector<double> default_rates =
+                                    exp::paper_arrival_rates());
+
+// The same for a binary that reads flags of its own from `flags`: it must
+// call flags.exit_on_unknown(name) after its last getter.
+FigureContext parse_figure_args(const util::Flags& flags,
                                 std::vector<double> default_rates =
                                     exp::paper_arrival_rates());
 

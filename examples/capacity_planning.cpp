@@ -21,6 +21,7 @@ int main(int argc, char** argv) {
   base.q_ge = flags.get_double("qge", 0.9);
   base.duration = flags.get_double("seconds", 15.0);
   base.seed = static_cast<std::uint64_t>(flags.get_int("seed", 5));
+  flags.exit_on_unknown("capacity_planning");
 
   const std::vector<std::size_t> core_options{4, 8, 16, 32};
   const std::vector<double> budget_options{120.0, 200.0, 320.0, 480.0};

@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
   cfg.arrival_rate = flags.get_double("rate", 150.0);
   cfg.duration = flags.get_double("seconds", 20.0);
   cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 9));
+  flags.exit_on_unknown("energy_quality_tradeoff");
 
   const workload::Trace trace =
       workload::Trace::generate(cfg.workload_spec(), cfg.duration);

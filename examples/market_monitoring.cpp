@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
   cfg.duration = flags.get_double("seconds", 20.0);
   cfg.q_ge = flags.get_double("qge", 0.92);
   cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 21));
+  flags.exit_on_unknown("market_monitoring");
   // Monitoring traits: freshness windows between 150 and 400 ms, strongly
   // diminishing returns (the largest positions dominate the risk number),
   // bursty tick traffic.

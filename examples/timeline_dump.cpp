@@ -28,6 +28,7 @@ int main(int argc, char** argv) {
       workload::Trace::generate(cfg.workload_spec(), cfg.duration);
   exp::Timeline timeline;
   timeline.interval = flags.get_double("interval", 0.05);
+  flags.exit_on_unknown("timeline_dump");
   const exp::RunResult r = exp::run_simulation(cfg, exp::SchedulerSpec::parse("GE"),
                                                trace, &timeline);
   timeline.save_csv(path);

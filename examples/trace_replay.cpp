@@ -18,6 +18,7 @@ int main(int argc, char** argv) {
   cfg.duration = flags.get_double("seconds", 10.0);
   cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 11));
   const std::string path = flags.get_string("file", "/tmp/ge_trace.csv");
+  flags.exit_on_unknown("trace_replay");
 
   // Record.
   const workload::Trace original =

@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
   exp::ExperimentConfig cfg = exp::ExperimentConfig::paper_defaults();
   cfg.duration = flags.get_double("seconds", 20.0);
   cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 3));
+  flags.exit_on_unknown("websearch_comparison");
 
   struct Profile {
     const char* name;

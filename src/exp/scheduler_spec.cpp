@@ -1,26 +1,20 @@
 #include "exp/scheduler_spec.h"
 
-#include <cstdio>
 #include <cstdlib>
 
 #include "exp/config.h"
 #include "exp/scheduler_registry.h"
 #include "util/check.h"
+#include "util/format.h"
 
 namespace ge::exp {
 namespace {
-
-std::string format_param(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.12g", value);
-  return buf;
-}
 
 std::string format_params(const std::vector<double>& params) {
   std::string out = "[";
   for (std::size_t i = 0; i < params.size(); ++i) {
     if (i > 0) out += ",";
-    out += format_param(params[i]);
+    util::append_number(out, params[i]);
   }
   out += "]";
   return out;

@@ -12,6 +12,7 @@
 #include "exp/scheduler_registry.h"
 #include "exp/scheduler_spec.h"
 #include "util/check.h"
+#include "util/format.h"
 #include "util/table.h"
 
 namespace ge::exp {
@@ -162,9 +163,7 @@ SchedulerPlugin make_be_p() {
     if (spec.budget_scale == 1.0) {
       return std::string("BE-P");
     }
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "BE-P[%.12g]", spec.budget_scale);
-    return std::string(buf);
+    return "BE-P[" + util::format_number(spec.budget_scale) + "]";
   };
   p.effective_budget = [](const SchedulerSpec& spec, const ExperimentConfig& cfg) {
     return cfg.power_budget * spec.budget_scale;
@@ -199,9 +198,7 @@ SchedulerPlugin make_be_s() {
     if (!std::isfinite(spec.speed_cap_ghz)) {
       return std::string("BE-S");
     }
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "BE-S[%.12g]", spec.speed_cap_ghz);
-    return std::string(buf);
+    return "BE-S[" + util::format_number(spec.speed_cap_ghz) + "]";
   };
   p.factory = [](const SchedulerSpec& spec, const sched::SchedulerEnv& env,
                  const ExperimentConfig& cfg, const power::DiscreteSpeedTable* table) {

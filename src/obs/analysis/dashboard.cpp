@@ -9,15 +9,12 @@
 #include <utility>
 
 #include "util/check.h"
+#include "util/format.h"
 
 namespace ge::obs::analysis {
 namespace {
 
-std::string fmt(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  return buf;
-}
+using util::format_number;
 
 // Fixed-precision rendering: SVG coordinates use two decimals so layout
 // bytes stay stable under FP noise far below a hundredth of a pixel.
@@ -99,7 +96,7 @@ void panel_summary(std::ostream& out, const TaskView& tv) {
       << "<td>" << a.num_servers << "</td><td>" << a.info.cores << "</td><td>"
       << a.released << "</td><td>" << a.completed << "</td><td>" << a.partial
       << "</td><td>" << a.dropped << "</td><td>" << a.missed << "</td><td>"
-      << fmt(a.integrated_energy_j) << "</td><td class=\"headline\">"
+      << format_number(a.integrated_energy_j) << "</td><td class=\"headline\">"
       << pct(r.avoidable_frac) << "%</td></tr></table>\n";
   if (!a.violations.empty()) {
     out << "<p class=\"bad\">watchdog recorded " << a.violations.size()
@@ -134,7 +131,7 @@ void panel_reclaim(std::ostream& out, const TaskView& tv) {
         << "\" height=\"16\" fill=\"" << bars[i].color << "\"/>"
         << "<text x=\"0\" y=\"" << px(y + 12.0) << "\">" << bars[i].label
         << "</text><text x=\"" << px(184.0 + w) << "\" y=\"" << px(y + 12.0)
-        << "\">" << fmt(bars[i].value) << " J</text>\n";
+        << "\">" << format_number(bars[i].value) << " J</text>\n";
   }
   out << "</svg>\n";
   out << "<table><tr><th>server</th><th>realised J</th><th>reclaim J</th>"
@@ -142,8 +139,9 @@ void panel_reclaim(std::ostream& out, const TaskView& tv) {
   for (const ServerReclaim& sr : r.servers) {
     const double frac =
         sr.realized_j > 0.0 ? (sr.realized_j - sr.cont_j) / sr.realized_j : 0.0;
-    out << "<tr><td>s" << sr.server << "</td><td>" << fmt(sr.realized_j)
-        << "</td><td>" << fmt(sr.cont_j) << "</td><td>" << fmt(sr.disc_j)
+    out << "<tr><td>s" << sr.server << "</td><td>" << format_number(sr.realized_j)
+        << "</td><td>" << format_number(sr.cont_j) << "</td><td>"
+        << format_number(sr.disc_j)
         << "</td><td>" << pct(frac) << "%</td></tr>\n";
   }
   out << "</table>\n";
@@ -301,7 +299,7 @@ void polyline_chart(std::ostream& out, const TaskView& tv, const char* label,
     y_max = 1.0;
   }
   out << "<div class=\"chart\"><span class=\"chartlabel\">" << label
-      << " (max " << fmt(y_max) << ")</span>"
+      << " (max " << format_number(y_max) << ")</span>"
       << "<svg width=\"" << px(kPlotW) << "\" height=\"" << px(h + 4.0)
       << "\" role=\"img\" aria-label=\"" << label << "\">\n";
   static const char* kPalette[] = {"#1565c0", "#2e7d32", "#e65100", "#6a1b9a",
@@ -417,8 +415,8 @@ void panel_lifecycle(std::ostream& out, const TaskView& tv) {
           << "\" width=\"" << px(std::max(x_of(tv, t1) - x_of(tv, t0), 0.25))
           << "\" height=\"" << px(row_h - 4.0) << "\" fill=\""
           << state_color(segs[i].second) << "\"><title>s" << s << " "
-          << server_state_name(segs[i].second) << " " << fmt(t0) << "&#8211;"
-          << fmt(t1) << " s</title></rect>\n";
+          << server_state_name(segs[i].second) << " " << format_number(t0) << "&#8211;"
+          << format_number(t1) << " s</title></rect>\n";
     }
   }
   out << "</svg>\n";
@@ -461,8 +459,9 @@ void panel_heatmap(std::ostream& out, const TaskView& tv) {
           << "\" y=\"" << px(y) << "\" width=\"" << px(cell_w)
           << "\" height=\"" << px(row_h - 2.0) << "\" fill=\"rgb(255,"
           << cool << "," << cool << ")\"><title>s" << s << " bin "
-          << fmt(a.bin_end[i]) << " s: " << fmt(a.timelines[s].power_w[i])
-          << " W, " << fmt(a.timelines[s].busy_cores[i])
+          << format_number(a.bin_end[i])
+          << " s: " << format_number(a.timelines[s].power_w[i])
+          << " W, " << format_number(a.timelines[s].busy_cores[i])
           << " busy cores</title></rect>\n";
     }
   }
@@ -483,11 +482,11 @@ void panel_tenants(std::ostream& out, const TaskView& tv) {
            "<th>executed</th><th>demand</th><th>energy J</th></tr>\n";
     for (const TenantStats& ts : a.tenants) {
       out << "<tr><td>t" << ts.tenant << "</td><td>"
-          << (ts.q_ge >= 0.0 ? fmt(ts.q_ge) : std::string("?")) << "</td><td>"
+          << (ts.q_ge >= 0.0 ? format_number(ts.q_ge) : std::string("?")) << "</td><td>"
           << ts.released << "</td><td>" << ts.completed << "</td><td>"
           << ts.partial << "</td><td>" << ts.dropped << "</td><td>"
-          << ts.missed << "</td><td>" << fmt(ts.executed_units) << "</td><td>"
-          << fmt(ts.demand_units) << "</td><td>" << fmt(ts.energy_j)
+          << ts.missed << "</td><td>" << format_number(ts.executed_units) << "</td><td>"
+          << format_number(ts.demand_units) << "</td><td>" << format_number(ts.energy_j)
           << "</td></tr>\n";
     }
     out << "</table>\n";
@@ -532,7 +531,7 @@ void write_dashboard(std::ostream& out, const std::vector<TaskInput>& inputs,
     out << "<h2 id=\"task-" << tv.analysis.info.task << "\">task "
         << tv.analysis.info.task << " &mdash; "
         << esc(tv.analysis.info.scheduler) << " @ "
-        << fmt(tv.analysis.info.arrival_rate) << " req/s</h2>\n";
+        << format_number(tv.analysis.info.arrival_rate) << " req/s</h2>\n";
     panel_summary(out, tv);
     panel_gantt(out, tv, options);
     panel_residency(out, tv, options);

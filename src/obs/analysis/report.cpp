@@ -4,20 +4,15 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <sstream>
 
 #include "util/check.h"
+#include "util/format.h"
 
 namespace ge::obs::analysis {
 namespace {
 
-// Same formatting as the trace writer: enough digits to round-trip almost
-// exactly, and identical bytes for identical doubles.
-std::string fmt(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  return buf;
-}
+// %.12g, as the trace writer renders numbers.
+using util::format_number;
 
 // Fixed-precision rendering for the human-facing Markdown tables.
 std::string fixed(double v, int digits) {
@@ -47,11 +42,7 @@ ReportWriter::ReportWriter(ReportOptions options) : options_(options) {}
 void ReportWriter::add_task(const TaskInput& input) {
   tasks_.push_back(analyze_task(input, options_));
   reclaims_.push_back(analyze_reclaim(input, tasks_.back()));
-  std::ostringstream trace;
-  TraceWriter writer(trace, TraceFormat::kJsonl);
-  writer.append_task(input.info, *input.buffer);
-  writer.close();
-  trace_jsonl_ += trace.str();
+  buffers_.push_back(input.buffer);
 }
 
 void ReportWriter::write_markdown(std::ostream& out) const {
@@ -60,20 +51,20 @@ void ReportWriter::write_markdown(std::ostream& out) const {
 
   for (const TaskAnalysis& task : tasks_) {
     out << "\n## task " << task.info.task << " — " << task.info.scheduler
-        << " @ " << fmt(task.info.arrival_rate) << " req/s\n\n";
+        << " @ " << format_number(task.info.arrival_rate) << " req/s\n\n";
     out << "- config: " << task.num_servers << " server(s), "
         << task.info.cores << " cores/server, budget "
-        << fmt(task.info.power_budget) << " W, power model "
+        << format_number(task.info.power_budget) << " W, power model "
         << task.info.power_model_json << "\n";
     out << "- jobs: " << task.released << " released = " << task.completed
         << " completed + " << task.partial << " partial + " << task.dropped
         << " dropped (" << task.missed << " deadline misses)\n";
     out << "- scheduling: " << task.rounds << " rounds, " << task.mode_switches
         << " mode switches, " << task.cuts << " cuts\n";
-    out << "- energy: integrated " << fmt(task.integrated_energy_j) << " J";
+    out << "- energy: integrated " << format_number(task.integrated_energy_j) << " J";
     if (task.reported_energy_j >= 0.0) {
-      out << " vs reported " << fmt(task.reported_energy_j) << " J (rel err "
-          << fmt(task.energy_rel_err) << ") — "
+      out << " vs reported " << format_number(task.reported_energy_j) << " J (rel err "
+          << format_number(task.energy_rel_err) << ") — "
           << (task.energy_rel_err <= options_.energy_rel_tol ? "OK" : "MISMATCH")
           << "\n";
     } else {
@@ -100,7 +91,7 @@ void ReportWriter::write_markdown(std::ostream& out) const {
         agg.energy_j += bin.energy_j;
       }
     }
-    out << "\n### speed residency (" << fmt(options_.speed_bin_ghz)
+    out << "\n### speed residency (" << format_number(options_.speed_bin_ghz)
         << " GHz bins, all cores)\n\n";
     out << "| GHz | busy core-s | share | energy J |\n";
     out << "|---|---:|---:|---:|\n";
@@ -140,9 +131,10 @@ void ReportWriter::write_markdown(std::ostream& out) const {
 
     const ReclaimAnalysis& reclaim = reclaims_[&task - tasks_.data()];
     out << "\n### reclaim advisor\n\n";
-    out << "- realised " << fmt(reclaim.realized_j) << " J >= discrete-ladder "
-        << fmt(reclaim.disc_j) << " J >= continuous " << fmt(reclaim.cont_j)
-        << " J >= fluid offline " << fmt(reclaim.offline_j) << " J\n";
+    out << "- realised " << format_number(reclaim.realized_j) << " J >= discrete-ladder "
+        << format_number(reclaim.disc_j) << " J >= continuous "
+        << format_number(reclaim.cont_j)
+        << " J >= fluid offline " << format_number(reclaim.offline_j) << " J\n";
     out << "- clairvoyantly avoidable: "
         << fixed(100.0 * reclaim.avoidable_frac, 1)
         << "% of the realised energy\n";
@@ -154,110 +146,117 @@ void ReportWriter::write_markdown(std::ostream& out) const {
       out << "| t | check | observed | expected |\n";
       out << "|---:|---|---:|---:|\n";
       for (const TraceEvent& ev : task.violations) {
-        out << "| " << fmt(ev.t) << " | " << violation_check_name(ev.mode)
-            << " | " << fmt(ev.a) << " | " << fmt(ev.b) << " |\n";
+        out << "| " << format_number(ev.t) << " | " << violation_check_name(ev.mode)
+            << " | " << format_number(ev.a) << " | " << format_number(ev.b) << " |\n";
       }
     }
   }
 }
 
 void ReportWriter::write_summary_csv(std::ostream& out) const {
-  out << "task,scheduler,arrival_rate,servers,cores,released,completed,partial,"
-         "dropped,missed,rounds,mode_switches,cuts,violations,"
-         "integrated_energy_j,reported_energy_j,energy_rel_err,"
-         "mean_response_ms,p99_response_ms,reclaim_energy_j,reclaim_disc_j,"
-         "reclaim_offline_j,reclaim_frac\n";
+  util::ChunkWriter rows(out);
+  rows.write("task,scheduler,arrival_rate,servers,cores,released,completed,"
+             "partial,dropped,missed,rounds,mode_switches,cuts,violations,"
+             "integrated_energy_j,reported_energy_j,energy_rel_err,"
+             "mean_response_ms,p99_response_ms,reclaim_energy_j,reclaim_disc_j,"
+             "reclaim_offline_j,reclaim_frac\n");
   for (const TaskAnalysis& task : tasks_) {
     const ReclaimAnalysis& reclaim = reclaims_[&task - tasks_.data()];
-    out << task.info.task << "," << task.info.scheduler << ","
-        << fmt(task.info.arrival_rate) << "," << task.num_servers << ","
-        << task.info.cores << "," << task.released << "," << task.completed
-        << "," << task.partial << "," << task.dropped << "," << task.missed
-        << "," << task.rounds << "," << task.mode_switches << "," << task.cuts
-        << "," << task.violations.size() << "," << fmt(task.integrated_energy_j)
-        << "," << fmt(task.reported_energy_j) << "," << fmt(task.energy_rel_err)
-        << "," << fmt(task.response.mean_ms) << "," << fmt(task.response.p99_ms)
-        << "," << fmt(reclaim.cont_j) << "," << fmt(reclaim.disc_j) << ","
-        << fmt(reclaim.offline_j) << "," << fmt(reclaim.avoidable_frac)
-        << "\n";
+    rows.write(task.info.task, ',', task.info.scheduler, ',',
+               task.info.arrival_rate, ',', task.num_servers, ',',
+               task.info.cores, ',', task.released, ',', task.completed, ',',
+               task.partial, ',', task.dropped, ',', task.missed, ',',
+               task.rounds, ',', task.mode_switches, ',', task.cuts, ',',
+               task.violations.size(), ',', task.integrated_energy_j, ',',
+               task.reported_energy_j, ',', task.energy_rel_err, ',',
+               task.response.mean_ms, ',', task.response.p99_ms, ',',
+               reclaim.cont_j, ',', reclaim.disc_j, ',', reclaim.offline_j, ',',
+               reclaim.avoidable_frac, '\n');
   }
 }
 
 void ReportWriter::write_jobs_csv(std::ostream& out) const {
-  out << "task,job,server,core,tenant,arrival_s,assigned_s,first_exec_s,"
-         "settled_s,deadline_s,demand_units,executed_units,energy_j,wait_ms,"
-         "service_ms,response_ms,slack_ms,outcome,missed\n";
+  util::ChunkWriter rows(out);
+  rows.write("task,job,server,core,tenant,arrival_s,assigned_s,first_exec_s,"
+             "settled_s,deadline_s,demand_units,executed_units,energy_j,"
+             "wait_ms,service_ms,response_ms,slack_ms,outcome,missed\n");
   for (const TaskAnalysis& task : tasks_) {
     for (const JobSpan& job : task.jobs) {
-      out << task.info.task << "," << job.id << "," << job.server << ","
-          << job.core << "," << job.tenant << ","
-          << fmt(job.arrival) << "," << fmt(job.assigned)
-          << "," << fmt(job.first_exec) << "," << fmt(job.settled) << ","
-          << fmt(job.deadline) << "," << fmt(job.demand) << ","
-          << fmt(job.executed) << "," << fmt(job.energy_j) << ","
-          << fmt(job.wait_ms()) << "," << fmt(job.service_ms()) << ","
-          << fmt(job.response_ms()) << "," << fmt(job.slack_ms()) << ","
-          << outcome_name(job) << "," << (job.missed ? 1 : 0) << "\n";
+      rows.write(task.info.task, ',', job.id, ',', job.server, ',', job.core,
+                 ',', job.tenant, ',', job.arrival, ',', job.assigned, ',',
+                 job.first_exec, ',', job.settled, ',', job.deadline, ',',
+                 job.demand, ',', job.executed, ',', job.energy_j, ',',
+                 job.wait_ms(), ',', job.service_ms(), ',', job.response_ms(),
+                 ',', job.slack_ms(), ',', outcome_name(job), ',',
+                 job.missed ? '1' : '0', '\n');
     }
   }
 }
 
 void ReportWriter::write_residency_csv(std::ostream& out) const {
-  out << "task,server,core,ghz_lo,ghz_hi,busy_s,energy_j\n";
+  util::ChunkWriter rows(out);
+  rows.write("task,server,core,ghz_lo,ghz_hi,busy_s,energy_j\n");
   for (const TaskAnalysis& task : tasks_) {
     for (const CoreResidency& core : task.residency) {
       for (const ResidencyBin& bin : core.bins) {
         const double lo = static_cast<double>(bin.bin) * options_.speed_bin_ghz;
-        out << task.info.task << "," << core.server << "," << core.core << ","
-            << fmt(lo) << "," << fmt(lo + options_.speed_bin_ghz) << ","
-            << fmt(bin.busy_s) << "," << fmt(bin.energy_j) << "\n";
+        rows.write(task.info.task, ',', core.server, ',', core.core, ',', lo,
+                   ',', lo + options_.speed_bin_ghz, ',', bin.busy_s, ',',
+                   bin.energy_j, '\n');
       }
     }
   }
 }
 
 void ReportWriter::write_timeline_csv(std::ostream& out) const {
-  out << "task,server,t_s,waiting,in_flight,busy_cores,power_w\n";
+  util::ChunkWriter rows(out);
+  rows.write("task,server,t_s,waiting,in_flight,busy_cores,power_w\n");
   for (const TaskAnalysis& task : tasks_) {
     for (const ServerTimeline& tl : task.timelines) {
       for (std::size_t i = 0; i < task.bin_end.size(); ++i) {
-        out << task.info.task << "," << tl.server << "," << fmt(task.bin_end[i])
-            << "," << fmt(tl.waiting[i]) << "," << fmt(tl.in_flight[i]) << ","
-            << fmt(tl.busy_cores[i]) << "," << fmt(tl.power_w[i]) << "\n";
+        rows.write(task.info.task, ',', tl.server, ',', task.bin_end[i], ',',
+                   tl.waiting[i], ',', tl.in_flight[i], ',', tl.busy_cores[i],
+                   ',', tl.power_w[i], '\n');
       }
     }
   }
 }
 
 void ReportWriter::write_tenants_csv(std::ostream& out) const {
-  out << "task,tenant,q_ge,released,completed,partial,dropped,missed,"
-         "executed_units,demand_units,energy_j\n";
+  util::ChunkWriter rows(out);
+  rows.write("task,tenant,q_ge,released,completed,partial,dropped,missed,"
+             "executed_units,demand_units,energy_j\n");
   for (const TaskAnalysis& task : tasks_) {
     for (const TenantStats& ts : task.tenants) {
-      out << task.info.task << "," << ts.tenant << "," << fmt(ts.q_ge) << ","
-          << ts.released << "," << ts.completed << "," << ts.partial << ","
-          << ts.dropped << "," << ts.missed << "," << fmt(ts.executed_units)
-          << "," << fmt(ts.demand_units) << "," << fmt(ts.energy_j) << "\n";
+      rows.write(task.info.task, ',', ts.tenant, ',', ts.q_ge, ',', ts.released,
+                 ',', ts.completed, ',', ts.partial, ',', ts.dropped, ',',
+                 ts.missed, ',', ts.executed_units, ',', ts.demand_units, ',',
+                 ts.energy_j, '\n');
     }
   }
 }
 
 void ReportWriter::write_reclaim_csv(std::ostream& out) const {
-  out << "task,server,t_s,realized_j,reclaim_j,reclaim_disc_j\n";
+  util::ChunkWriter rows(out);
+  rows.write("task,server,t_s,realized_j,reclaim_j,reclaim_disc_j\n");
   for (std::size_t t = 0; t < tasks_.size(); ++t) {
     const TaskAnalysis& task = tasks_[t];
     for (const ServerReclaim& sr : reclaims_[t].servers) {
       for (std::size_t i = 0; i < task.bin_end.size(); ++i) {
-        out << task.info.task << "," << sr.server << "," << fmt(task.bin_end[i])
-            << "," << fmt(sr.realized_bin_j[i]) << "," << fmt(sr.cont_bin_j[i])
-            << "," << fmt(sr.disc_bin_j[i]) << "\n";
+        rows.write(task.info.task, ',', sr.server, ',', task.bin_end[i], ',',
+                   sr.realized_bin_j[i], ',', sr.cont_bin_j[i], ',',
+                   sr.disc_bin_j[i], '\n');
       }
     }
   }
 }
 
 void ReportWriter::write_trace_jsonl(std::ostream& out) const {
-  out << trace_jsonl_;
+  TraceWriter writer(out, TraceFormat::kJsonl);
+  for (std::size_t t = 0; t < tasks_.size(); ++t) {
+    writer.append_task(tasks_[t].info, *buffers_[t]);
+  }
+  writer.close();
 }
 
 void ReportWriter::write_directory(const std::string& dir) const {

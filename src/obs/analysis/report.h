@@ -19,7 +19,8 @@
 //                     dir is self-contained input for ge_report/ge_dashboard
 //
 // Output bytes are a pure function of the added (input, options) sequence:
-// no timestamps, no locale, %.12g number formatting (the trace writer's).
+// no timestamps, no locale, %.12g number formatting (util::format_number,
+// the trace writer's).
 // Reports therefore inherit the engine's determinism contract -- the same
 // plan produces byte-identical report directories for any --jobs value,
 // which CI enforces with a directory diff.  Schema: ge-report-v1, described
@@ -48,6 +49,12 @@ class ReportWriter {
 
   // Analyzes one task (including the reclaim advisor) and appends it; tasks
   // render in add order.
+  //
+  // Lifetime contract: the writer keeps `input.buffer` (a pointer, not a
+  // copy) and renders trace.jsonl from it in write_trace_jsonl() /
+  // write_directory().  The buffer must outlive those calls and must not
+  // change after add_task.  Every caller (ge_report, exp::write_report,
+  // perfbench) owns its buffers until the report is written.
   void add_task(const TaskInput& input);
 
   const std::vector<TaskAnalysis>& tasks() const noexcept { return tasks_; }
@@ -66,14 +73,15 @@ class ReportWriter {
   void write_trace_jsonl(std::ostream& out) const;
 
   // Creates `dir` (and parents) and writes report.md, the six CSVs, and
-  // trace.jsonl.
+  // trace.jsonl (streamed from the added buffers through TraceWriter, so it
+  // is byte-identical to the --trace file of the same tasks).
   void write_directory(const std::string& dir) const;
 
  private:
   ReportOptions options_;
   std::vector<TaskAnalysis> tasks_;
   std::vector<ReclaimAnalysis> reclaims_;
-  std::string trace_jsonl_;  // all added tasks, TraceWriter JSONL rendering
+  std::vector<const TraceBuffer*> buffers_;  // parallel to tasks_, not owned
 };
 
 }  // namespace ge::obs::analysis

@@ -1,231 +1,424 @@
 #include "obs/analysis/trace_reader.h"
 
-#include <cctype>
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
 #include <iterator>
+#include <string>
 #include <string_view>
+#include <system_error>
 #include <utility>
+#include <vector>
 
 #include "util/check.h"
 
 namespace ge::obs::analysis {
 namespace {
 
-// ---- minimal JSON subset parser ---------------------------------------------
+// ---- JSON subset parser -----------------------------------------------------
 
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;  // file order
+// The C locale's isspace set, without consulting the locale.
+bool is_space(char ch) {
+  return ch == ' ' || ch == '\t' || ch == '\n' || ch == '\v' || ch == '\f' ||
+         ch == '\r';
+}
 
-  const JsonValue* find(std::string_view key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) {
-        return &v;
+// A parsed JSON document.  Every value is one node of a flat arena, in
+// document order: a container's children follow it directly, and `end` is
+// one past its last descendant, so a child's next sibling sits at that
+// child's `end`.  Keys and escape-free strings are views into the parsed
+// text; a string with escapes decodes into one scratch buffer, reserved to
+// the text's size before parsing so those views never move.  The arena and
+// the scratch buffer are reused from one parse to the next, so once they
+// have grown a trace line parses without allocating.
+class JsonDocument {
+ public:
+  enum class Kind : std::uint8_t { kNull, kBool, kNumber, kString, kArray, kObject };
+  struct Node {
+    Kind kind = Kind::kNull;
+    std::uint32_t end = 0;     // one past the last descendant
+    std::uint32_t offset = 0;  // byte offset of the value in the text
+    double number = 0.0;       // kNumber
+    std::string_view key;      // member name when the parent is an object
+    std::string_view text;     // kString
+  };
+  static constexpr std::uint32_t kRoot = 0;
+
+  // `source` names the input in error messages ("trace JSONL").
+  explicit JsonDocument(const char* source) : source_(source) {}
+
+  // Parses `text`, whose first byte sits on line `first_line` of the input;
+  // checked error on malformed input.  Views stay valid until the next
+  // parse and while `text` lives.
+  void parse(std::string_view text, std::size_t first_line) {
+    text_ = text;
+    first_line_ = first_line;
+    pos_ = 0;
+    nodes_.clear();
+    scratch_.clear();
+    scratch_.reserve(text.size());
+    parse_value({}, 0);
+    skip_ws();
+    GE_CHECK(pos_ == text_.size(), where(pos_) + "JSON: trailing characters");
+  }
+
+  const Node& node(std::uint32_t i) const { return nodes_[i]; }
+  std::uint32_t index_of(const Node* n) const {
+    return static_cast<std::uint32_t>(n - nodes_.data());
+  }
+
+  // Calls f(child index) for each child of container `i`, in order.
+  template <typename F>
+  void for_each_child(std::uint32_t i, F&& f) const {
+    for (std::uint32_t c = i + 1; c < nodes_[i].end; c = nodes_[c].end) {
+      f(c);
+    }
+  }
+
+  // First member of object `obj` named `key`, or nullptr.
+  const Node* member(std::uint32_t obj, std::string_view key) const {
+    for (std::uint32_t c = obj + 1; c < nodes_[obj].end; c = nodes_[c].end) {
+      if (nodes_[c].key == key) {
+        return &nodes_[c];
       }
     }
     return nullptr;
   }
-  // Required typed accessors; checked errors keep schema drift loud.
-  double num(std::string_view key) const {
-    const JsonValue* v = find(key);
+
+  // Required typed members of object `obj`; a checked error names the line
+  // and the field.
+  double number(std::uint32_t obj, std::string_view key) const {
+    const Node* v = member(obj, key);
     GE_CHECK(v != nullptr && v->kind == Kind::kNumber,
-             "trace/metrics JSON: missing numeric field");
+             where(nodes_[obj].offset) +
+                 (v == nullptr ? "missing numeric field \"" : "field \"") +
+                 std::string(key) +
+                 (v == nullptr ? "\"" : "\" must be a number"));
     return v->number;
   }
-  const std::string& str(std::string_view key) const {
-    const JsonValue* v = find(key);
+  std::string_view string(std::uint32_t obj, std::string_view key) const {
+    const Node* v = member(obj, key);
     GE_CHECK(v != nullptr && v->kind == Kind::kString,
-             "trace/metrics JSON: missing string field");
-    return v->string;
+             where(nodes_[obj].offset) +
+                 (v == nullptr ? "missing string field \"" : "field \"") +
+                 std::string(key) +
+                 (v == nullptr ? "\"" : "\" must be a string"));
+    return v->text;
   }
-};
 
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
-
-  JsonValue parse() {
-    JsonValue value = parse_value();
-    skip_ws();
-    GE_CHECK(pos_ == text_.size(), "JSON: trailing characters");
-    return value;
+  // "<source> line N: " for the byte at `offset`.  Failure paths only.
+  std::string where(std::size_t offset) const {
+    std::size_t line = first_line_;
+    for (std::size_t i = 0; i < offset && i < text_.size(); ++i) {
+      line += text_[i] == '\n' ? 1 : 0;
+    }
+    return std::string(source_) + " line " + std::to_string(line) + ": ";
   }
 
  private:
+  // Nesting deeper than this is a checked error, not a stack overflow.
+  static constexpr int kMaxDepth = 256;
+
   void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
+    while (pos_ < text_.size() && is_space(text_[pos_])) {
       ++pos_;
     }
   }
 
-  char peek() {
-    GE_CHECK(pos_ < text_.size(), "JSON: unexpected end of input");
+  char peek() const {
+    GE_CHECK(pos_ < text_.size(), where(pos_) + "JSON: unexpected end of input");
     return text_[pos_];
   }
 
   void expect(char ch) {
-    GE_CHECK(peek() == ch, "JSON: unexpected character");
+    GE_CHECK(peek() == ch, where(pos_) + "JSON: expected '" +
+                               std::string(1, ch) + "', found '" +
+                               std::string(1, text_[pos_]) + "'");
     ++pos_;
   }
 
-  bool consume_literal(std::string_view lit) {
-    if (text_.substr(pos_, lit.size()) == lit) {
-      pos_ += lit.size();
-      return true;
-    }
-    return false;
+  void expect_literal(std::string_view lit) {
+    GE_CHECK(text_.substr(pos_, lit.size()) == lit,
+             where(pos_) + "JSON: bad literal");
+    pos_ += lit.size();
   }
 
-  JsonValue parse_value() {
+  void parse_value(std::string_view key, int depth) {
+    GE_CHECK(depth <= kMaxDepth, where(pos_) + "JSON: nesting too deep");
     skip_ws();
-    JsonValue value;
+    const auto index = static_cast<std::uint32_t>(nodes_.size());
+    nodes_.emplace_back();
+    nodes_.back().offset = static_cast<std::uint32_t>(pos_);
+    nodes_.back().key = key;
+    Kind kind = Kind::kNull;
     switch (peek()) {
-      case '{': {
-        value.kind = JsonValue::Kind::kObject;
-        expect('{');
+      case '{':
+        kind = Kind::kObject;
+        ++pos_;
         skip_ws();
         if (peek() == '}') {
-          expect('}');
-          return value;
+          ++pos_;
+          break;
         }
         while (true) {
           skip_ws();
-          std::string key = parse_string();
+          const std::string_view member_key = parse_string();
           skip_ws();
           expect(':');
-          value.object.emplace_back(std::move(key), parse_value());
+          parse_value(member_key, depth + 1);
           skip_ws();
           if (peek() == ',') {
-            expect(',');
+            ++pos_;
             continue;
           }
           expect('}');
-          return value;
+          break;
         }
-      }
-      case '[': {
-        value.kind = JsonValue::Kind::kArray;
-        expect('[');
+        break;
+      case '[':
+        kind = Kind::kArray;
+        ++pos_;
         skip_ws();
         if (peek() == ']') {
-          expect(']');
-          return value;
+          ++pos_;
+          break;
         }
         while (true) {
-          value.array.push_back(parse_value());
+          parse_value({}, depth + 1);
           skip_ws();
           if (peek() == ',') {
-            expect(',');
+            ++pos_;
             continue;
           }
           expect(']');
-          return value;
+          break;
         }
-      }
+        break;
       case '"':
-        value.kind = JsonValue::Kind::kString;
-        value.string = parse_string();
-        return value;
+        kind = Kind::kString;
+        nodes_[index].text = parse_string();
+        break;
       case 't':
-        GE_CHECK(consume_literal("true"), "JSON: bad literal");
-        value.kind = JsonValue::Kind::kBool;
-        value.boolean = true;
-        return value;
+        kind = Kind::kBool;
+        expect_literal("true");
+        break;
       case 'f':
-        GE_CHECK(consume_literal("false"), "JSON: bad literal");
-        value.kind = JsonValue::Kind::kBool;
-        return value;
+        kind = Kind::kBool;
+        expect_literal("false");
+        break;
       case 'n':
-        GE_CHECK(consume_literal("null"), "JSON: bad literal");
-        return value;
+        expect_literal("null");
+        break;
       default:
-        value.kind = JsonValue::Kind::kNumber;
-        value.number = parse_number();
-        return value;
+        kind = Kind::kNumber;
+        nodes_[index].number = parse_number();
+        break;
     }
+    // By index: parsing the children may have reallocated the arena.
+    nodes_[index].kind = kind;
+    nodes_[index].end = static_cast<std::uint32_t>(nodes_.size());
   }
 
-  std::string parse_string() {
+  std::string_view parse_string() {
     expect('"');
-    std::string out;
+    const std::size_t begin = pos_;
+    while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\') {
+      ++pos_;
+    }
+    GE_CHECK(pos_ < text_.size(), where(begin) + "JSON: unterminated string");
+    if (text_[pos_] == '"') {
+      return text_.substr(begin, pos_++ - begin);
+    }
+    // Escapes: decode into the scratch buffer, which never reallocates
+    // (reserved to the whole text; decoding only shrinks).
+    const std::size_t start = scratch_.size();
+    scratch_.append(text_.substr(begin, pos_ - begin));
     while (true) {
-      GE_CHECK(pos_ < text_.size(), "JSON: unterminated string");
+      GE_CHECK(pos_ < text_.size(), where(begin) + "JSON: unterminated string");
       const char ch = text_[pos_++];
       if (ch == '"') {
-        return out;
+        return std::string_view(scratch_).substr(start);
       }
-      if (ch == '\\') {
-        GE_CHECK(pos_ < text_.size(), "JSON: unterminated escape");
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
-          case 'n': out.push_back('\n'); break;
-          case 't': out.push_back('\t'); break;
-          case 'r': out.push_back('\r'); break;
-          default:
-            GE_CHECK(false, "JSON: unsupported escape sequence");
-        }
+      if (ch != '\\') {
+        scratch_.push_back(ch);
         continue;
       }
-      out.push_back(ch);
+      GE_CHECK(pos_ < text_.size(), where(begin) + "JSON: unterminated escape");
+      switch (text_[pos_++]) {
+        case '"': scratch_.push_back('"'); break;
+        case '\\': scratch_.push_back('\\'); break;
+        case '/': scratch_.push_back('/'); break;
+        case 'n': scratch_.push_back('\n'); break;
+        case 't': scratch_.push_back('\t'); break;
+        case 'r': scratch_.push_back('\r'); break;
+        default:
+          GE_CHECK(false, where(pos_ - 2) + "JSON: unsupported escape sequence");
+      }
     }
   }
 
+  // std::from_chars is correctly rounded, as glibc strtod is, so a token
+  // parses to the same double either way.  Only a token outside the double
+  // range (which from_chars reports instead of saturating) goes through
+  // strtod, to keep its overflow/underflow results.
   double parse_number() {
     const char* begin = text_.data() + pos_;
-    char* end = nullptr;
-    const double value = std::strtod(begin, &end);
-    GE_CHECK(end != begin, "JSON: expected a number");
-    pos_ += static_cast<std::size_t>(end - begin);
+    const char* end = text_.data() + text_.size();
+    double value = 0.0;
+    const std::from_chars_result r = std::from_chars(begin, end, value);
+    GE_CHECK(r.ec != std::errc::invalid_argument,
+             where(pos_) + "JSON: expected a number");
+    if (r.ec == std::errc::result_out_of_range) {
+      value = std::strtod(std::string(begin, r.ptr).c_str(), nullptr);
+    }
+    pos_ += static_cast<std::size_t>(r.ptr - begin);
     return value;
   }
 
+  const char* source_;
   std::string_view text_;
+  std::size_t first_line_ = 1;
   std::size_t pos_ = 0;
+  std::vector<Node> nodes_;
+  std::string scratch_;
 };
 
-int parse_mode(const std::string& name) {
+using Kind = JsonDocument::Kind;
+constexpr std::uint32_t kRoot = JsonDocument::kRoot;
+
+int parse_mode(std::string_view name) {
   if (name == "AES") return kModeAes;
   if (name == "BQ") return kModeBq;
   return -1;
 }
 
-std::int32_t parse_check(const std::string& name) {
-  for (std::int32_t check = 0;; ++check) {
-    const char* known = violation_check_name(check);
-    if (std::string_view(known) == "?") {
-      GE_CHECK(false, "trace JSONL: unknown violation check name");
-    }
+// Inverse of a name table indexed from 0 whose first unknown index names
+// "?" (violation_check_name, server_state_name).
+std::int32_t parse_name(const JsonDocument& doc, std::string_view name,
+                        const char* (*name_of)(std::int32_t) noexcept,
+                        const char* what) {
+  for (std::int32_t id = 0;; ++id) {
+    const std::string_view known = name_of(id);
+    GE_CHECK(known != "?", doc.where(0) + "unknown " + what + " \"" +
+                               std::string(name) + "\"");
     if (name == known) {
-      return check;
+      return id;
     }
   }
 }
 
-std::int32_t parse_server_state(const std::string& name) {
-  for (std::int32_t state = 0;; ++state) {
-    const char* known = server_state_name(state);
-    if (std::string_view(known) == "?") {
-      GE_CHECK(false, "trace JSONL: unknown server lifecycle state name");
-    }
-    if (name == known) {
-      return state;
-    }
+ParsedTask parse_meta(const JsonDocument& doc) {
+  ParsedTask task;
+  task.info.task = static_cast<std::size_t>(doc.number(kRoot, "task"));
+  task.info.scheduler = std::string(doc.string(kRoot, "scheduler"));
+  task.info.arrival_rate = doc.number(kRoot, "arrival_rate");
+  task.info.cores = static_cast<std::size_t>(doc.number(kRoot, "cores"));
+  task.info.power_budget = doc.number(kRoot, "power_budget_w");
+  const JsonDocument::Node* pm = doc.member(kRoot, "power_model");
+  GE_CHECK(pm != nullptr && pm->kind == Kind::kObject,
+           doc.where(0) + "meta record lacks a power_model object");
+  const std::uint32_t pm_index = doc.index_of(pm);
+  task.model = power::PowerModel(doc.number(pm_index, "a"),
+                                 doc.number(pm_index, "beta"),
+                                 doc.number(pm_index, "units_per_ghz"));
+  task.info.power_model_json = task.model.describe_json();
+  // Optional for pre-ladder traces; empty = continuous speeds.
+  if (const JsonDocument::Node* ladder = doc.member(kRoot, "ladder");
+      ladder != nullptr) {
+    GE_CHECK(ladder->kind == Kind::kArray,
+             doc.where(0) + "meta ladder must be an array");
+    doc.for_each_child(doc.index_of(ladder), [&](std::uint32_t c) {
+      GE_CHECK(doc.node(c).kind == Kind::kNumber,
+               doc.where(0) + "meta ladder entries must be numbers");
+      task.info.ladder_units.push_back(doc.node(c).number);
+    });
   }
+  return task;
+}
+
+// Fills `ev` from an event record whose "ev" is `kind`; false for a kind
+// this reader does not know.
+bool parse_event(const JsonDocument& doc, std::string_view kind,
+                 TraceEvent& ev) {
+  const auto num = [&doc](std::string_view key) {
+    return doc.number(kRoot, key);
+  };
+  if (kind == "exec") {
+    ev.type = TraceEventType::kExec;
+    ev.t2 = num("t_end");
+    ev.core = static_cast<std::int32_t>(num("core"));
+    ev.job = static_cast<std::int64_t>(num("job"));
+    ev.a = num("speed");
+  } else if (kind == "completion" || kind == "deadline_miss") {
+    ev.type = kind == "completion" ? TraceEventType::kCompletion
+                                   : TraceEventType::kDeadlineMiss;
+    ev.core = static_cast<std::int32_t>(num("core"));
+    ev.job = static_cast<std::int64_t>(num("job"));
+    ev.a = num("executed");
+    ev.b = num("demand");
+    ev.c = num("quality");
+  } else if (kind == "arrival") {
+    ev.type = TraceEventType::kArrival;
+    ev.job = static_cast<std::int64_t>(num("job"));
+    ev.a = num("demand");
+    ev.b = num("deadline");
+    // Tenant id rides in c; absent in pre-tenant traces (=> tenant 0).
+    const JsonDocument::Node* tenant = doc.member(kRoot, "tenant");
+    ev.c = tenant != nullptr ? tenant->number : 0.0;
+  } else if (kind == "assign") {
+    ev.type = TraceEventType::kAssign;
+    ev.job = static_cast<std::int64_t>(num("job"));
+    ev.core = static_cast<std::int32_t>(num("core"));
+  } else if (kind == "cap") {
+    ev.type = TraceEventType::kCap;
+    ev.core = static_cast<std::int32_t>(num("core"));
+    ev.a = num("watts");
+  } else if (kind == "cut") {
+    ev.type = TraceEventType::kCut;
+    ev.core = static_cast<std::int32_t>(num("core"));
+    ev.a = num("jobs");
+    ev.b = num("level");
+    ev.c = num("target_units");
+  } else if (kind == "round") {
+    ev.type = TraceEventType::kRound;
+    ev.mode = parse_mode(doc.string(kRoot, "mode"));
+    ev.a = num("waiting");
+    ev.b = num("rate");
+    ev.c = num("round");
+  } else if (kind == "dispatch") {
+    ev.type = TraceEventType::kDispatch;
+    ev.job = static_cast<std::int64_t>(num("job"));
+    ev.core = static_cast<std::int32_t>(num("server"));
+    ev.a = num("in_flight");
+  } else if (kind == "mode") {
+    ev.type = TraceEventType::kModeSwitch;
+    ev.mode = parse_mode(doc.string(kRoot, "mode"));
+    ev.a = num("quality");
+  } else if (kind == "core_offline") {
+    ev.type = TraceEventType::kCoreOffline;
+    ev.core = static_cast<std::int32_t>(num("core"));
+  } else if (kind == "violation") {
+    ev.type = TraceEventType::kViolation;
+    ev.mode = parse_name(doc, doc.string(kRoot, "check"), violation_check_name,
+                         "violation check");
+    ev.a = num("observed");
+    ev.b = num("expected");
+  } else if (kind == "server_state") {
+    ev.type = TraceEventType::kServerState;
+    ev.core = static_cast<std::int32_t>(num("server"));
+    ev.mode = parse_name(doc, doc.string(kRoot, "state"), server_state_name,
+                         "server lifecycle state");
+  } else {
+    return false;
+  }
+  return true;
 }
 
 }  // namespace
 
 std::vector<ParsedTask> read_trace_jsonl(std::istream& in) {
   std::vector<ParsedTask> tasks;
+  JsonDocument doc("trace JSONL");
   std::string line;
   std::size_t line_no = 0;
   while (std::getline(in, line)) {
@@ -233,109 +426,25 @@ std::vector<ParsedTask> read_trace_jsonl(std::istream& in) {
     if (line.empty()) {
       continue;
     }
-    const JsonValue record = JsonParser(line).parse();
-    GE_CHECK(record.kind == JsonValue::Kind::kObject,
-             "trace JSONL: every line must be an object");
-    const std::string& kind = record.str("ev");
+    doc.parse(line, line_no);
+    GE_CHECK(doc.node(kRoot).kind == Kind::kObject,
+             doc.where(0) + "every line must be an object");
+    const std::string_view kind = doc.string(kRoot, "ev");
     if (kind == "meta") {
-      ParsedTask task;
-      task.info.task = static_cast<std::size_t>(record.num("task"));
-      task.info.scheduler = record.str("scheduler");
-      task.info.arrival_rate = record.num("arrival_rate");
-      task.info.cores = static_cast<std::size_t>(record.num("cores"));
-      task.info.power_budget = record.num("power_budget_w");
-      const JsonValue* pm = record.find("power_model");
-      GE_CHECK(pm != nullptr && pm->kind == JsonValue::Kind::kObject,
-               "trace JSONL: meta record lacks a power_model object");
-      task.model = power::PowerModel(pm->num("a"), pm->num("beta"),
-                                     pm->num("units_per_ghz"));
-      task.info.power_model_json = task.model.describe_json();
-      // Optional for pre-ladder traces; empty = continuous speeds.
-      if (const JsonValue* ladder = record.find("ladder"); ladder != nullptr) {
-        GE_CHECK(ladder->kind == JsonValue::Kind::kArray,
-                 "trace JSONL: meta ladder must be an array");
-        for (const JsonValue& level : ladder->array) {
-          GE_CHECK(level.kind == JsonValue::Kind::kNumber,
-                   "trace JSONL: meta ladder entries must be numbers");
-          task.info.ladder_units.push_back(level.number);
-        }
-      }
+      ParsedTask task = parse_meta(doc);
       GE_CHECK(task.info.task == tasks.size(),
-               "trace JSONL: meta records out of order");
+               doc.where(0) + "meta records out of order");
       tasks.push_back(std::move(task));
       continue;
     }
-    GE_CHECK(!tasks.empty(), "trace JSONL: event before the first meta record");
-    GE_CHECK(static_cast<std::size_t>(record.num("task")) == tasks.size() - 1,
-             "trace JSONL: event names a task other than the current one");
+    GE_CHECK(!tasks.empty(), doc.where(0) + "event before the first meta record");
+    GE_CHECK(static_cast<std::size_t>(doc.number(kRoot, "task")) ==
+                 tasks.size() - 1,
+             doc.where(0) + "event names a task other than the current one");
     TraceEvent ev;
-    ev.t = record.num("t");
-    if (kind == "arrival") {
-      ev.type = TraceEventType::kArrival;
-      ev.job = static_cast<std::int64_t>(record.num("job"));
-      ev.a = record.num("demand");
-      ev.b = record.num("deadline");
-      // Tenant id rides in c; absent in pre-tenant traces (=> tenant 0).
-      const JsonValue* tenant = record.find("tenant");
-      ev.c = tenant != nullptr ? tenant->number : 0.0;
-    } else if (kind == "round") {
-      ev.type = TraceEventType::kRound;
-      ev.mode = parse_mode(record.str("mode"));
-      ev.a = record.num("waiting");
-      ev.b = record.num("rate");
-      ev.c = record.num("round");
-    } else if (kind == "mode") {
-      ev.type = TraceEventType::kModeSwitch;
-      ev.mode = parse_mode(record.str("mode"));
-      ev.a = record.num("quality");
-    } else if (kind == "cut") {
-      ev.type = TraceEventType::kCut;
-      ev.core = static_cast<std::int32_t>(record.num("core"));
-      ev.a = record.num("jobs");
-      ev.b = record.num("level");
-      ev.c = record.num("target_units");
-    } else if (kind == "cap") {
-      ev.type = TraceEventType::kCap;
-      ev.core = static_cast<std::int32_t>(record.num("core"));
-      ev.a = record.num("watts");
-    } else if (kind == "exec") {
-      ev.type = TraceEventType::kExec;
-      ev.t2 = record.num("t_end");
-      ev.core = static_cast<std::int32_t>(record.num("core"));
-      ev.job = static_cast<std::int64_t>(record.num("job"));
-      ev.a = record.num("speed");
-    } else if (kind == "completion" || kind == "deadline_miss") {
-      ev.type = kind == "completion" ? TraceEventType::kCompletion
-                                     : TraceEventType::kDeadlineMiss;
-      ev.core = static_cast<std::int32_t>(record.num("core"));
-      ev.job = static_cast<std::int64_t>(record.num("job"));
-      ev.a = record.num("executed");
-      ev.b = record.num("demand");
-      ev.c = record.num("quality");
-    } else if (kind == "core_offline") {
-      ev.type = TraceEventType::kCoreOffline;
-      ev.core = static_cast<std::int32_t>(record.num("core"));
-    } else if (kind == "dispatch") {
-      ev.type = TraceEventType::kDispatch;
-      ev.job = static_cast<std::int64_t>(record.num("job"));
-      ev.core = static_cast<std::int32_t>(record.num("server"));
-      ev.a = record.num("in_flight");
-    } else if (kind == "assign") {
-      ev.type = TraceEventType::kAssign;
-      ev.job = static_cast<std::int64_t>(record.num("job"));
-      ev.core = static_cast<std::int32_t>(record.num("core"));
-    } else if (kind == "violation") {
-      ev.type = TraceEventType::kViolation;
-      ev.mode = parse_check(record.str("check"));
-      ev.a = record.num("observed");
-      ev.b = record.num("expected");
-    } else if (kind == "server_state") {
-      ev.type = TraceEventType::kServerState;
-      ev.core = static_cast<std::int32_t>(record.num("server"));
-      ev.mode = parse_server_state(record.str("state"));
-    } else {
-      GE_CHECK(false, "trace JSONL: unknown event kind");
-    }
+    ev.t = doc.number(kRoot, "t");
+    GE_CHECK(parse_event(doc, kind, ev),
+             doc.where(0) + "unknown event kind \"" + std::string(kind) + "\"");
     tasks.back().buffer.push(ev);
   }
   return tasks;
@@ -360,26 +469,26 @@ bool MetricsValues::has(const std::string& name) const {
 }
 
 MetricsValues read_metrics_json(std::istream& in) {
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  const JsonValue root = JsonParser(text).parse();
-  GE_CHECK(root.kind == JsonValue::Kind::kObject &&
-               root.str("schema") == "goodenough-metrics-v1",
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  JsonDocument doc("metrics JSON");
+  doc.parse(text, 1);
+  GE_CHECK(doc.node(kRoot).kind == Kind::kObject &&
+               doc.string(kRoot, "schema") == "goodenough-metrics-v1",
            "metrics JSON: unexpected schema");
-  const JsonValue* metrics = root.find("metrics");
-  GE_CHECK(metrics != nullptr && metrics->kind == JsonValue::Kind::kArray,
+  const JsonDocument::Node* metrics = doc.member(kRoot, "metrics");
+  GE_CHECK(metrics != nullptr && metrics->kind == Kind::kArray,
            "metrics JSON: missing metrics array");
   MetricsValues out;
-  for (const JsonValue& entry : metrics->array) {
-    const std::string& name = entry.str("name");
-    const std::string& type = entry.str("type");
-    if (type == "histogram") {
-      out.values.emplace_back(name + ".count", entry.num("count"));
-      out.values.emplace_back(name + ".sum", entry.num("sum"));
+  doc.for_each_child(doc.index_of(metrics), [&](std::uint32_t e) {
+    const std::string name(doc.string(e, "name"));
+    if (doc.string(e, "type") == "histogram") {
+      out.values.emplace_back(name + ".count", doc.number(e, "count"));
+      out.values.emplace_back(name + ".sum", doc.number(e, "sum"));
     } else {
-      out.values.emplace_back(name, entry.num("value"));
+      out.values.emplace_back(name, doc.number(e, "value"));
     }
-  }
+  });
   return out;
 }
 

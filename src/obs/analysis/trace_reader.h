@@ -14,9 +14,19 @@
 // to ~1e-12 relative per value: file-based energy cross-checks therefore use
 // a looser tolerance than in-process ones (see docs/OBSERVABILITY.md).
 //
-// The parser is a ~hundred-line recursive-descent JSON subset (objects,
+// Both run on one recursive-descent parser for a JSON subset (objects,
 // arrays, strings, numbers, bools, null; no \uXXXX escapes -- the writers
 // never emit them), kept here so the toolchain needs no JSON dependency.
+// It allocates nothing per value: values live in a flat arena reused from
+// line to line, keys and escape-free strings are string_views into the
+// line, escaped strings decode into one reused scratch buffer, and the
+// trace is read one std::getline at a time (never whole into memory).
+// Numbers parse with std::from_chars, correctly rounded like glibc strtod,
+// so a token yields the same double either way; unlike strtod it rejects a
+// leading '+' and hex floats, which no writer emits.  Malformed input is a
+// checked error whose message names the line and, for a missing or
+// mistyped field, the field: `trace JSONL line 4121: missing numeric field
+// "t_end"`.
 #pragma once
 
 #include <istream>

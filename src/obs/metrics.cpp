@@ -1,9 +1,9 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "util/check.h"
+#include "util/format.h"
 
 namespace ge::obs {
 namespace {
@@ -27,14 +27,6 @@ const char* merge_name(Gauge::Merge merge) {
     case Gauge::Merge::kLast: return "last";
   }
   return "?";
-}
-
-// Fixed-format double: enough digits to round-trip the values we emit while
-// keeping equal doubles byte-equal (merge determinism relies on this).
-std::string fmt(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  return buf;
 }
 
 }  // namespace
@@ -193,6 +185,9 @@ void MetricsRegistry::merge(const MetricsRegistry& other) {
 }
 
 void MetricsRegistry::write_json(std::ostream& out) const {
+  // %.12g: enough digits to round-trip the values we emit while keeping
+  // equal doubles byte-equal (merge determinism relies on this).
+  using util::format_number;
   out << "{\n  \"schema\": \"goodenough-metrics-v1\",\n  \"metrics\": [";
   bool first = true;
   for (const auto& entry : entries_) {
@@ -202,19 +197,21 @@ void MetricsRegistry::write_json(std::ostream& out) const {
         << kind_name(entry->kind) << "\", \"unit\": \"" << entry->unit << "\"";
     switch (entry->kind) {
       case Kind::kCounter:
-        out << ", \"value\": " << fmt(entry->counter.value());
+        out << ", \"value\": " << format_number(entry->counter.value());
         break;
       case Kind::kGauge:
         out << ", \"merge\": \"" << merge_name(entry->gauge.merge_mode())
-            << "\", \"value\": " << fmt(entry->gauge.value());
+            << "\", \"value\": " << format_number(entry->gauge.value());
         break;
       case Kind::kHistogram: {
         const Histogram& h = entry->histogram;
-        out << ", \"count\": " << h.count() << ", \"sum\": " << fmt(h.sum())
-            << ", \"min\": " << fmt(h.min()) << ", \"max\": " << fmt(h.max())
-            << ", \"buckets\": [";
+        out << ", \"count\": " << h.count()
+            << ", \"sum\": " << format_number(h.sum())
+            << ", \"min\": " << format_number(h.min())
+            << ", \"max\": " << format_number(h.max()) << ", \"buckets\": [";
         for (std::size_t i = 0; i < h.bounds().size(); ++i) {
-          out << (i == 0 ? "" : ", ") << "{\"le\": " << fmt(h.bounds()[i])
+          out << (i == 0 ? "" : ", ")
+              << "{\"le\": " << format_number(h.bounds()[i])
               << ", \"count\": " << h.bucket_counts()[i] << "}";
         }
         out << ", {\"le\": \"inf\", \"count\": " << h.bucket_counts().back()

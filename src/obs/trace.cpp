@@ -1,17 +1,10 @@
 #include "obs/trace.h"
 
-#include <cstdio>
-
 #include "util/check.h"
+#include "util/format.h"
 
 namespace ge::obs {
 namespace {
-
-std::string fmt(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  return buf;
-}
 
 const char* mode_name(int mode) {
   switch (mode) {
@@ -71,7 +64,7 @@ TraceFormat parse_trace_format(const std::string& name) {
 TraceWriter::TraceWriter(std::ostream& out, TraceFormat format)
     : out_(out), format_(format) {
   if (format_ == TraceFormat::kChrome) {
-    out_ << "[";
+    out_.write("[");
   }
 }
 
@@ -82,96 +75,95 @@ void TraceWriter::append_task(const TraceTaskInfo& info, const TraceBuffer& buff
   } else {
     append_chrome(info, buffer);
   }
+  out_.flush();
 }
 
 void TraceWriter::close() {
   GE_CHECK(!closed_, "trace writer closed twice");
   closed_ = true;
   if (format_ == TraceFormat::kChrome) {
-    out_ << "\n]\n";
+    out_.write("\n]\n");
   }
+  out_.flush();
 }
 
 void TraceWriter::append_jsonl(const TraceTaskInfo& info, const TraceBuffer& buffer) {
   const std::string task = std::to_string(info.task);
-  out_ << "{\"ev\": \"meta\", \"task\": " << task << ", \"scheduler\": \""
-       << escape(info.scheduler) << "\", \"arrival_rate\": " << fmt(info.arrival_rate)
-       << ", \"cores\": " << info.cores
-       << ", \"power_budget_w\": " << fmt(info.power_budget)
-       << ", \"power_model\": " << info.power_model_json << ", \"ladder\": [";
+  out_.write("{\"ev\": \"meta\", \"task\": ", task, ", \"scheduler\": \"",
+             escape(info.scheduler), "\", \"arrival_rate\": ", info.arrival_rate,
+             ", \"cores\": ", info.cores,
+             ", \"power_budget_w\": ", info.power_budget,
+             ", \"power_model\": ", info.power_model_json, ", \"ladder\": [");
   for (std::size_t i = 0; i < info.ladder_units.size(); ++i) {
-    out_ << (i == 0 ? "" : ", ") << fmt(info.ladder_units[i]);
+    out_.write(i == 0 ? "" : ", ", info.ladder_units[i]);
   }
-  out_ << "]}\n";
+  out_.write("]}\n");
   for (const TraceEvent& ev : buffer.events()) {
     switch (ev.type) {
       case TraceEventType::kArrival:
-        out_ << "{\"ev\": \"arrival\", \"task\": " << task << ", \"t\": " << fmt(ev.t)
-             << ", \"job\": " << ev.job << ", \"demand\": " << fmt(ev.a)
-             << ", \"deadline\": " << fmt(ev.b)
-             << ", \"tenant\": " << static_cast<std::int64_t>(ev.c) << "}\n";
+        out_.write("{\"ev\": \"arrival\", \"task\": ", task, ", \"t\": ", ev.t,
+                   ", \"job\": ", ev.job, ", \"demand\": ", ev.a,
+                   ", \"deadline\": ", ev.b,
+                   ", \"tenant\": ", static_cast<std::int64_t>(ev.c), "}\n");
         break;
       case TraceEventType::kRound:
-        out_ << "{\"ev\": \"round\", \"task\": " << task << ", \"t\": " << fmt(ev.t)
-             << ", \"round\": " << fmt(ev.c) << ", \"mode\": \"" << mode_name(ev.mode)
-             << "\", \"waiting\": " << fmt(ev.a) << ", \"rate\": " << fmt(ev.b)
-             << "}\n";
+        out_.write("{\"ev\": \"round\", \"task\": ", task, ", \"t\": ", ev.t,
+                   ", \"round\": ", ev.c, ", \"mode\": \"", mode_name(ev.mode),
+                   "\", \"waiting\": ", ev.a, ", \"rate\": ", ev.b, "}\n");
         break;
       case TraceEventType::kModeSwitch:
-        out_ << "{\"ev\": \"mode\", \"task\": " << task << ", \"t\": " << fmt(ev.t)
-             << ", \"mode\": \"" << mode_name(ev.mode)
-             << "\", \"quality\": " << fmt(ev.a) << "}\n";
+        out_.write("{\"ev\": \"mode\", \"task\": ", task, ", \"t\": ", ev.t,
+                   ", \"mode\": \"", mode_name(ev.mode),
+                   "\", \"quality\": ", ev.a, "}\n");
         break;
       case TraceEventType::kCut:
-        out_ << "{\"ev\": \"cut\", \"task\": " << task << ", \"t\": " << fmt(ev.t)
-             << ", \"core\": " << ev.core << ", \"jobs\": " << fmt(ev.a)
-             << ", \"level\": " << fmt(ev.b) << ", \"target_units\": " << fmt(ev.c)
-             << "}\n";
+        out_.write("{\"ev\": \"cut\", \"task\": ", task, ", \"t\": ", ev.t,
+                   ", \"core\": ", ev.core, ", \"jobs\": ", ev.a,
+                   ", \"level\": ", ev.b, ", \"target_units\": ", ev.c, "}\n");
         break;
       case TraceEventType::kCap:
-        out_ << "{\"ev\": \"cap\", \"task\": " << task << ", \"t\": " << fmt(ev.t)
-             << ", \"core\": " << ev.core << ", \"watts\": " << fmt(ev.a) << "}\n";
+        out_.write("{\"ev\": \"cap\", \"task\": ", task, ", \"t\": ", ev.t,
+                   ", \"core\": ", ev.core, ", \"watts\": ", ev.a, "}\n");
         break;
       case TraceEventType::kExec:
-        out_ << "{\"ev\": \"exec\", \"task\": " << task << ", \"t\": " << fmt(ev.t)
-             << ", \"t_end\": " << fmt(ev.t2) << ", \"core\": " << ev.core
-             << ", \"job\": " << ev.job << ", \"speed\": " << fmt(ev.a) << "}\n";
+        out_.write("{\"ev\": \"exec\", \"task\": ", task, ", \"t\": ", ev.t,
+                   ", \"t_end\": ", ev.t2, ", \"core\": ", ev.core,
+                   ", \"job\": ", ev.job, ", \"speed\": ", ev.a, "}\n");
         break;
       case TraceEventType::kCompletion:
       case TraceEventType::kDeadlineMiss:
-        out_ << "{\"ev\": \""
-             << (ev.type == TraceEventType::kCompletion ? "completion"
-                                                        : "deadline_miss")
-             << "\", \"task\": " << task << ", \"t\": " << fmt(ev.t)
-             << ", \"core\": " << ev.core << ", \"job\": " << ev.job
-             << ", \"executed\": " << fmt(ev.a) << ", \"demand\": " << fmt(ev.b)
-             << ", \"quality\": " << fmt(ev.c) << "}\n";
+        out_.write("{\"ev\": \"",
+                   ev.type == TraceEventType::kCompletion ? "completion"
+                                                          : "deadline_miss",
+                   "\", \"task\": ", task, ", \"t\": ", ev.t,
+                   ", \"core\": ", ev.core, ", \"job\": ", ev.job,
+                   ", \"executed\": ", ev.a, ", \"demand\": ", ev.b,
+                   ", \"quality\": ", ev.c, "}\n");
         break;
       case TraceEventType::kCoreOffline:
-        out_ << "{\"ev\": \"core_offline\", \"task\": " << task
-             << ", \"t\": " << fmt(ev.t) << ", \"core\": " << ev.core << "}\n";
+        out_.write("{\"ev\": \"core_offline\", \"task\": ", task,
+                   ", \"t\": ", ev.t, ", \"core\": ", ev.core, "}\n");
         break;
       case TraceEventType::kDispatch:
-        out_ << "{\"ev\": \"dispatch\", \"task\": " << task
-             << ", \"t\": " << fmt(ev.t) << ", \"job\": " << ev.job
-             << ", \"server\": " << ev.core << ", \"in_flight\": " << fmt(ev.a)
-             << "}\n";
+        out_.write("{\"ev\": \"dispatch\", \"task\": ", task,
+                   ", \"t\": ", ev.t, ", \"job\": ", ev.job,
+                   ", \"server\": ", ev.core, ", \"in_flight\": ", ev.a, "}\n");
         break;
       case TraceEventType::kAssign:
-        out_ << "{\"ev\": \"assign\", \"task\": " << task
-             << ", \"t\": " << fmt(ev.t) << ", \"job\": " << ev.job
-             << ", \"core\": " << ev.core << "}\n";
+        out_.write("{\"ev\": \"assign\", \"task\": ", task,
+                   ", \"t\": ", ev.t, ", \"job\": ", ev.job,
+                   ", \"core\": ", ev.core, "}\n");
         break;
       case TraceEventType::kViolation:
-        out_ << "{\"ev\": \"violation\", \"task\": " << task
-             << ", \"t\": " << fmt(ev.t) << ", \"check\": \""
-             << violation_check_name(ev.mode) << "\", \"observed\": " << fmt(ev.a)
-             << ", \"expected\": " << fmt(ev.b) << "}\n";
+        out_.write("{\"ev\": \"violation\", \"task\": ", task,
+                   ", \"t\": ", ev.t, ", \"check\": \"",
+                   violation_check_name(ev.mode), "\", \"observed\": ", ev.a,
+                   ", \"expected\": ", ev.b, "}\n");
         break;
       case TraceEventType::kServerState:
-        out_ << "{\"ev\": \"server_state\", \"task\": " << task
-             << ", \"t\": " << fmt(ev.t) << ", \"server\": " << ev.core
-             << ", \"state\": \"" << server_state_name(ev.mode) << "\"}\n";
+        out_.write("{\"ev\": \"server_state\", \"task\": ", task,
+                   ", \"t\": ", ev.t, ", \"server\": ", ev.core,
+                   ", \"state\": \"", server_state_name(ev.mode), "\"}\n");
         break;
     }
   }
@@ -179,115 +171,112 @@ void TraceWriter::append_jsonl(const TraceTaskInfo& info, const TraceBuffer& buf
 
 void TraceWriter::append_chrome(const TraceTaskInfo& info, const TraceBuffer& buffer) {
   const std::string pid = std::to_string(info.task);
-  auto record = [this](const std::string& body) {
-    out_ << (first_record_ ? "\n" : ",\n") << body;
+  auto record = [this](const auto&... body) {
+    out_.write(first_record_ ? "\n" : ",\n", body...);
     first_record_ = false;
   };
   // Timestamps are microseconds in the trace_event format; the simulation
   // clock is seconds.
-  auto us = [](double t) { return fmt(t * 1e6); };
+  constexpr double kUs = 1e6;
 
-  record("{\"ph\": \"M\", \"pid\": " + pid +
-         ", \"name\": \"process_name\", \"args\": {\"name\": \"task " + pid + ": " +
-         escape(info.scheduler) + " @ " + fmt(info.arrival_rate) + " req/s\"}}");
-  record("{\"ph\": \"M\", \"pid\": " + pid +
+  record("{\"ph\": \"M\", \"pid\": ", pid,
+         ", \"name\": \"process_name\", \"args\": {\"name\": \"task ", pid, ": ",
+         escape(info.scheduler), " @ ", info.arrival_rate, " req/s\"}}");
+  record("{\"ph\": \"M\", \"pid\": ", pid,
          ", \"tid\": 0, \"name\": \"thread_name\", \"args\": {\"name\": "
          "\"scheduler\"}}");
   for (std::size_t i = 0; i < info.cores; ++i) {
-    record("{\"ph\": \"M\", \"pid\": " + pid + ", \"tid\": " + std::to_string(i + 1) +
-           ", \"name\": \"thread_name\", \"args\": {\"name\": \"core " +
-           std::to_string(i) + "\"}}");
+    record("{\"ph\": \"M\", \"pid\": ", pid, ", \"tid\": ", i + 1,
+           ", \"name\": \"thread_name\", \"args\": {\"name\": \"core ", i,
+           "\"}}");
   }
 
   for (const TraceEvent& ev : buffer.events()) {
     // Events with no core land on the scheduler track (tid 0).
-    const std::string tid = std::to_string(ev.core + 1);
+    const std::int32_t tid = ev.core + 1;
     switch (ev.type) {
       case TraceEventType::kArrival:
-        record("{\"ph\": \"i\", \"pid\": " + pid + ", \"tid\": 0, \"ts\": " +
-               us(ev.t) + ", \"s\": \"t\", \"name\": \"arrival\", \"cat\": "
-               "\"job\", \"args\": {\"job\": " + std::to_string(ev.job) +
-               ", \"demand\": " + fmt(ev.a) + "}}");
+        record("{\"ph\": \"i\", \"pid\": ", pid, ", \"tid\": 0, \"ts\": ",
+               ev.t * kUs, ", \"s\": \"t\", \"name\": \"arrival\", \"cat\": "
+               "\"job\", \"args\": {\"job\": ", ev.job,
+               ", \"demand\": ", ev.a, "}}");
         break;
       case TraceEventType::kRound:
-        record("{\"ph\": \"i\", \"pid\": " + pid + ", \"tid\": 0, \"ts\": " +
-               us(ev.t) + ", \"s\": \"t\", \"name\": \"round " +
-               std::string(mode_name(ev.mode)) + "\", \"cat\": \"sched\", "
-               "\"args\": {\"waiting\": " + fmt(ev.a) + ", \"rate\": " + fmt(ev.b) +
-               "}}");
+        record("{\"ph\": \"i\", \"pid\": ", pid, ", \"tid\": 0, \"ts\": ",
+               ev.t * kUs, ", \"s\": \"t\", \"name\": \"round ",
+               mode_name(ev.mode), "\", \"cat\": \"sched\", "
+               "\"args\": {\"waiting\": ", ev.a, ", \"rate\": ", ev.b, "}}");
         break;
       case TraceEventType::kModeSwitch:
-        record("{\"ph\": \"i\", \"pid\": " + pid + ", \"tid\": 0, \"ts\": " +
-               us(ev.t) + ", \"s\": \"p\", \"name\": \"mode -> " +
-               std::string(mode_name(ev.mode)) + "\", \"cat\": \"sched\", "
-               "\"args\": {\"quality\": " + fmt(ev.a) + "}}");
+        record("{\"ph\": \"i\", \"pid\": ", pid, ", \"tid\": 0, \"ts\": ",
+               ev.t * kUs, ", \"s\": \"p\", \"name\": \"mode -> ",
+               mode_name(ev.mode), "\", \"cat\": \"sched\", "
+               "\"args\": {\"quality\": ", ev.a, "}}");
         break;
       case TraceEventType::kCut:
-        record("{\"ph\": \"i\", \"pid\": " + pid + ", \"tid\": " + tid +
-               ", \"ts\": " + us(ev.t) + ", \"s\": \"t\", \"name\": \"cut\", "
-               "\"cat\": \"sched\", \"args\": {\"jobs\": " + fmt(ev.a) +
-               ", \"level\": " + fmt(ev.b) + "}}");
+        record("{\"ph\": \"i\", \"pid\": ", pid, ", \"tid\": ", tid,
+               ", \"ts\": ", ev.t * kUs, ", \"s\": \"t\", \"name\": \"cut\", "
+               "\"cat\": \"sched\", \"args\": {\"jobs\": ", ev.a,
+               ", \"level\": ", ev.b, "}}");
         break;
       case TraceEventType::kCap:
-        record("{\"ph\": \"C\", \"pid\": " + pid + ", \"tid\": 0, \"ts\": " +
-               us(ev.t) + ", \"name\": \"cap core " + std::to_string(ev.core) +
-               "\", \"args\": {\"W\": " + fmt(ev.a) + "}}");
+        record("{\"ph\": \"C\", \"pid\": ", pid, ", \"tid\": 0, \"ts\": ",
+               ev.t * kUs, ", \"name\": \"cap core ", ev.core,
+               "\", \"args\": {\"W\": ", ev.a, "}}");
         break;
       case TraceEventType::kExec:
-        record("{\"ph\": \"X\", \"pid\": " + pid + ", \"tid\": " + tid +
-               ", \"ts\": " + us(ev.t) + ", \"dur\": " + fmt((ev.t2 - ev.t) * 1e6) +
-               ", \"name\": \"job " + std::to_string(ev.job) +
-               "\", \"cat\": \"exec\", \"args\": {\"speed\": " + fmt(ev.a) + "}}");
+        record("{\"ph\": \"X\", \"pid\": ", pid, ", \"tid\": ", tid,
+               ", \"ts\": ", ev.t * kUs, ", \"dur\": ", (ev.t2 - ev.t) * kUs,
+               ", \"name\": \"job ", ev.job,
+               "\", \"cat\": \"exec\", \"args\": {\"speed\": ", ev.a, "}}");
         break;
       case TraceEventType::kCompletion:
       case TraceEventType::kDeadlineMiss: {
         const bool miss = ev.type == TraceEventType::kDeadlineMiss;
-        record("{\"ph\": \"i\", \"pid\": " + pid + ", \"tid\": " + tid +
-               ", \"ts\": " + us(ev.t) + ", \"s\": \"t\", \"name\": \"" +
-               (miss ? "deadline miss" : "completion") + "\", \"cat\": \"job\", "
-               "\"args\": {\"job\": " + std::to_string(ev.job) + ", \"executed\": " +
-               fmt(ev.a) + ", \"demand\": " + fmt(ev.b) + "}}");
-        record("{\"ph\": \"C\", \"pid\": " + pid + ", \"tid\": 0, \"ts\": " +
-               us(ev.t) + ", \"name\": \"quality\", \"args\": {\"q\": " + fmt(ev.c) +
+        record("{\"ph\": \"i\", \"pid\": ", pid, ", \"tid\": ", tid,
+               ", \"ts\": ", ev.t * kUs, ", \"s\": \"t\", \"name\": \"",
+               miss ? "deadline miss" : "completion", "\", \"cat\": \"job\", "
+               "\"args\": {\"job\": ", ev.job, ", \"executed\": ",
+               ev.a, ", \"demand\": ", ev.b, "}}");
+        record("{\"ph\": \"C\", \"pid\": ", pid, ", \"tid\": 0, \"ts\": ",
+               ev.t * kUs, ", \"name\": \"quality\", \"args\": {\"q\": ", ev.c,
                "}}");
         break;
       }
       case TraceEventType::kCoreOffline:
-        record("{\"ph\": \"i\", \"pid\": " + pid + ", \"tid\": " + tid +
-               ", \"ts\": " + us(ev.t) + ", \"s\": \"p\", \"name\": \"core " +
+        record("{\"ph\": \"i\", \"pid\": ", pid, ", \"tid\": ", tid,
+               ", \"ts\": ", ev.t * kUs, ", \"s\": \"p\", \"name\": \"core "
                "offline\", \"cat\": \"fault\", \"args\": {}}");
         break;
       case TraceEventType::kDispatch:
         // Dispatch decisions land on the scheduler track; ev.core is the
         // server index here, not a core id.
-        record("{\"ph\": \"i\", \"pid\": " + pid + ", \"tid\": 0, \"ts\": " +
-               us(ev.t) + ", \"s\": \"t\", \"name\": \"dispatch -> s" +
-               std::to_string(ev.core) + "\", \"cat\": \"cluster\", \"args\": "
-               "{\"job\": " + std::to_string(ev.job) + ", \"in_flight\": " +
-               fmt(ev.a) + "}}");
+        record("{\"ph\": \"i\", \"pid\": ", pid, ", \"tid\": 0, \"ts\": ",
+               ev.t * kUs, ", \"s\": \"t\", \"name\": \"dispatch -> s",
+               ev.core, "\", \"cat\": \"cluster\", \"args\": "
+               "{\"job\": ", ev.job, ", \"in_flight\": ", ev.a, "}}");
         break;
       case TraceEventType::kAssign:
-        record("{\"ph\": \"i\", \"pid\": " + pid + ", \"tid\": " + tid +
-               ", \"ts\": " + us(ev.t) + ", \"s\": \"t\", \"name\": \"assign job " +
-               std::to_string(ev.job) + "\", \"cat\": \"sched\", \"args\": "
-               "{\"job\": " + std::to_string(ev.job) + "}}");
+        record("{\"ph\": \"i\", \"pid\": ", pid, ", \"tid\": ", tid,
+               ", \"ts\": ", ev.t * kUs, ", \"s\": \"t\", \"name\": \"assign job ",
+               ev.job, "\", \"cat\": \"sched\", \"args\": "
+               "{\"job\": ", ev.job, "}}");
         break;
       case TraceEventType::kViolation:
         // Violations are process-scoped: they indict the whole run, not one
         // core track.
-        record("{\"ph\": \"i\", \"pid\": " + pid + ", \"tid\": 0, \"ts\": " +
-               us(ev.t) + ", \"s\": \"p\", \"name\": \"violation: " +
-               std::string(violation_check_name(ev.mode)) + "\", \"cat\": "
-               "\"watchdog\", \"args\": {\"observed\": " + fmt(ev.a) +
-               ", \"expected\": " + fmt(ev.b) + "}}");
+        record("{\"ph\": \"i\", \"pid\": ", pid, ", \"tid\": 0, \"ts\": ",
+               ev.t * kUs, ", \"s\": \"p\", \"name\": \"violation: ",
+               violation_check_name(ev.mode), "\", \"cat\": "
+               "\"watchdog\", \"args\": {\"observed\": ", ev.a,
+               ", \"expected\": ", ev.b, "}}");
         break;
       case TraceEventType::kServerState:
         // Lifecycle transitions are process-scoped, like dispatch decisions;
         // ev.core is the server index here.
-        record("{\"ph\": \"i\", \"pid\": " + pid + ", \"tid\": 0, \"ts\": " +
-               us(ev.t) + ", \"s\": \"p\", \"name\": \"s" +
-               std::to_string(ev.core) + " -> " +
-               std::string(server_state_name(ev.mode)) + "\", \"cat\": "
+        record("{\"ph\": \"i\", \"pid\": ", pid, ", \"tid\": 0, \"ts\": ",
+               ev.t * kUs, ", \"s\": \"p\", \"name\": \"s", ev.core, " -> ",
+               server_state_name(ev.mode), "\", \"cat\": "
                "\"lifecycle\", \"args\": {}}");
         break;
     }

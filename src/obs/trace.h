@@ -23,6 +23,8 @@
 #include <string>
 #include <vector>
 
+#include "util/format.h"
+
 namespace ge::obs {
 
 enum class TraceEventType : std::uint8_t {
@@ -119,6 +121,8 @@ class TraceBuffer {
   }
   const std::vector<TraceEvent>& events() const noexcept { return events_; }
   std::size_t size() const noexcept { return events_.size(); }
+  // Capacity for `events` events in total (a hint; push() still grows).
+  void reserve(std::size_t events) { events_.reserve(events); }
 
   // At most one observer; nullptr detaches.  The observer must outlive every
   // push() (the runner detaches the watchdog before tearing it down).
@@ -153,7 +157,10 @@ struct TraceTaskInfo {
 
 // Streaming trace writer: open(), then append_task() once per task in task
 // order, then close().  Output is deterministic: bytes depend only on the
-// (info, buffer) sequence.
+// (info, buffer) sequence.  Records are formatted into one reused chunk
+// buffer (util::ChunkWriter; numbers by the %.12g-exact
+// util::format_number) and handed to the stream with one write per chunk;
+// every byte of a task has reached the stream when append_task returns.
 class TraceWriter {
  public:
   TraceWriter(std::ostream& out, TraceFormat format);
@@ -167,8 +174,7 @@ class TraceWriter {
  private:
   void append_jsonl(const TraceTaskInfo& info, const TraceBuffer& buffer);
   void append_chrome(const TraceTaskInfo& info, const TraceBuffer& buffer);
-
-  std::ostream& out_;
+  util::ChunkWriter out_;
   TraceFormat format_;
   bool first_record_ = true;
   bool closed_ = false;

@@ -1,9 +1,9 @@
 #include "power/power_model.h"
 
 #include <cmath>
-#include <cstdio>
 
 #include "util/check.h"
+#include "util/format.h"
 
 namespace ge::power {
 
@@ -40,11 +40,10 @@ double PowerModel::energy(double speed_units, double duration) const {
 }
 
 std::string PowerModel::describe_json() const {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf),
-                "{\"a\": %.12g, \"beta\": %.12g, \"units_per_ghz\": %.12g}", a_,
-                beta_, units_per_ghz_);
-  return buf;
+  std::string out;
+  util::append(out, "{\"a\": ", a_, ", \"beta\": ", beta_,
+               ", \"units_per_ghz\": ", units_per_ghz_, "}");
+  return out;
 }
 
 }  // namespace ge::power

@@ -1,6 +1,7 @@
 #include "util/flags.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 
 namespace ge::util {
@@ -62,6 +63,21 @@ std::vector<std::string> Flags::unknown() const {
     }
   }
   return out;
+}
+
+void Flags::exit_on_unknown(std::string_view program) const {
+  const std::vector<std::string> names = unknown();
+  if (names.empty()) {
+    return;
+  }
+  std::string list;
+  for (const std::string& name : names) {
+    list += (list.empty() ? "--" : ", --") + name;
+  }
+  std::fprintf(stderr, "%.*s: unknown flag%s %s (see docs/CLI.md)\n",
+               static_cast<int>(program.size()), program.data(),
+               names.size() > 1 ? "s" : "", list.c_str());
+  std::exit(2);
 }
 
 bool Flags::has(std::string_view name) const { return find(name).has_value(); }

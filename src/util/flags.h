@@ -36,6 +36,11 @@ class Flags {
   // yet, in order of first appearance, each once.
   std::vector<std::string> unknown() const;
 
+  // For a tool that has read every flag it takes: if unknown() is not
+  // empty, prints one stderr line naming the flags ("<program>: unknown
+  // flag --x (see docs/CLI.md)") and exits with status 2.
+  void exit_on_unknown(std::string_view program) const;
+
   // Positional (non-flag) arguments in order of appearance.
   const std::vector<std::string>& positional() const noexcept { return positional_; }
 

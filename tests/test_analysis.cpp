@@ -254,6 +254,68 @@ TEST(TraceReader, RoundTripsEveryEventKind) {
   }
 }
 
+// Malformed trace files fail with the line number and the field named.
+constexpr const char* kMetaLine =
+    "{\"ev\": \"meta\", \"task\": 0, \"scheduler\": \"GE\", \"arrival_rate\": "
+    "150, \"cores\": 4, \"power_budget_w\": 100, \"power_model\": {\"a\": 5, "
+    "\"beta\": 2, \"units_per_ghz\": 1000}, \"ladder\": []}\n";
+constexpr const char* kExecLine =
+    "{\"ev\": \"exec\", \"task\": 0, \"t\": 0.1, \"t_end\": 0.2, \"core\": 1, "
+    "\"job\": 7, \"speed\": 1500}\n";
+
+void read_text(const std::string& text) {
+  std::istringstream in(text);
+  (void)read_trace_jsonl(in);
+}
+
+TEST(TraceReaderErrors, TruncatedLastLineNamesTheLine) {
+  const std::string text = std::string(kMetaLine) + kExecLine +
+                           "{\"ev\": \"exec\", \"task\": 0, \"t\": 0.3, \"t_e";
+  EXPECT_DEATH(read_text(text), "trace JSONL line 3: JSON: unterminated string");
+  EXPECT_DEATH(read_text(std::string(kMetaLine) + "{\"ev\": \"exec\", \"t\": 1"),
+               "trace JSONL line 2: JSON: unexpected end of input");
+}
+
+TEST(TraceReaderErrors, MissingFieldNamesTheLineAndField) {
+  const std::string text =
+      std::string(kMetaLine) + kExecLine + kExecLine +
+      "{\"ev\": \"exec\", \"task\": 0, \"t\": 0.3, \"core\": 1, \"job\": 8, "
+      "\"speed\": 1500}\n";
+  EXPECT_DEATH(read_text(text),
+               "trace JSONL line 4: missing numeric field \"t_end\"");
+}
+
+TEST(TraceReaderErrors, StringWhereANumberBelongs) {
+  const std::string text =
+      std::string(kMetaLine) +
+      "{\"ev\": \"exec\", \"task\": 0, \"t\": \"0.1\", \"t_end\": 0.2, "
+      "\"core\": 1, \"job\": 7, \"speed\": 1500}\n";
+  EXPECT_DEATH(read_text(text), "trace JSONL line 2: field \"t\" must be a number");
+}
+
+TEST(TraceReaderErrors, UnknownEventKind) {
+  const std::string text = std::string(kMetaLine) + "\n" + kExecLine +
+                           "{\"ev\": \"teleport\", \"task\": 0, \"t\": 0.4}\n";
+  // The blank line still counts: the bad record is on line 4.
+  EXPECT_DEATH(read_text(text),
+               "trace JSONL line 4: unknown event kind \"teleport\"");
+}
+
+TEST(TraceReaderErrors, EventBeforeMeta) {
+  EXPECT_DEATH(read_text(std::string(kExecLine) + kMetaLine),
+               "trace JSONL line 1: event before the first meta record");
+}
+
+TEST(TraceReaderErrors, MetricsFileErrorsNameTheLine) {
+  std::istringstream in(
+      "{\n  \"schema\": \"goodenough-metrics-v1\",\n  \"metrics\": [\n"
+      "    {\"name\": \"x\", \"type\": \"counter\", \"value\": +1}\n  ]\n}\n");
+  // from_chars takes no leading '+', which strtod did; the writer never
+  // emits one.
+  EXPECT_DEATH((void)read_metrics_json(in),
+               "metrics JSON line 4: JSON: expected a number");
+}
+
 TEST(Watchdog, CleanBufferRecordsNoViolations) {
   TraceBuffer buf;
   WatchdogOptions options;

@@ -22,20 +22,36 @@
 //    against the two rescanning constructions it replaced, kept below
 //    verbatim as oracles: the timeline-collapsing yds_schedule and the
 //    reclaim advisor's real-time placement.
+//  * the text I/O path: util::format_number against snprintf("%.12g"), byte
+//    for byte, and the allocation-free trace reader against the DOM reader
+//    it replaced (kept below verbatim as an oracle), bit for bit, on seeded
+//    traces and on mutated lines.
 //
 // Every sweep uses fixed seeds so failures reproduce exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cctype>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <limits>
 #include <memory>
 #include <random>
 #include <span>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "exp/config.h"
+#include "exp/experiment_engine.h"
+#include "exp/scheduler_spec.h"
+#include "obs/analysis/trace_reader.h"
+#include "obs/trace.h"
 #include "opt/energy_opt.h"
 #include "opt/plan.h"
 #include "opt/quality_opt.h"
@@ -43,6 +59,7 @@
 #include "power/power_model.h"
 #include "quality/quality_function.h"
 #include "util/check.h"
+#include "util/format.h"
 #include "workload/job.h"
 
 namespace ge::opt {
@@ -1303,3 +1320,651 @@ TEST(YdsEngine, MatchesOraclesOnLargeInstances) {
 
 }  // namespace
 }  // namespace ge::opt
+
+namespace ge::obs::analysis {
+namespace {
+
+// ---- util::format_number against snprintf("%.12g") ------------------------
+
+std::string printf_g12(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.12g", v);
+  return buf;
+}
+
+void expect_formats_like_printf(double v) {
+  ASSERT_EQ(util::format_number(v), printf_g12(v))
+      << "bits 0x" << std::hex << std::bit_cast<std::uint64_t>(v);
+}
+
+TEST(NumberFormat, MatchesPrintfOnRandomBitPatterns) {
+  std::mt19937_64 rng(20261019);
+  for (int i = 0; i < 1'000'000; ++i) {
+    expect_formats_like_printf(std::bit_cast<double>(rng()));
+  }
+}
+
+TEST(NumberFormat, MatchesPrintfOnSpecialValues) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kDenormMin = std::numeric_limits<double>::denorm_min();
+  constexpr double kMin = std::numeric_limits<double>::min();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double v :
+       {0.0, -0.0, kInf, -kInf, nan, -nan,
+        std::bit_cast<double>(std::uint64_t{0x7ff0000000000001}),  // sNaN
+        std::bit_cast<double>(std::uint64_t{0xfff8000000000123}),  // payload
+        kDenormMin, -kDenormMin, kMin, -kMin, std::nextafter(kMin, 0.0),
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::lowest(), 0.1, 1.0 / 3.0, 2.0 / 3.0}) {
+    expect_formats_like_printf(v);
+  }
+  // Subnormals across their whole exponent range.
+  std::mt19937_64 rng(7);
+  for (int i = 0; i < 100'000; ++i) {
+    expect_formats_like_printf(
+        std::bit_cast<double>(rng() & std::uint64_t{0x800fffffffffffff}));
+  }
+}
+
+TEST(NumberFormat, IntegersUpToTwoToThe53) {
+  constexpr std::int64_t kMax = std::int64_t{1} << 53;
+  std::mt19937_64 rng(53);
+  std::vector<std::int64_t> values;
+  for (std::int64_t k = -1000; k <= 1000; ++k) values.push_back(k);
+  for (int e = 0; e <= 53; ++e) {
+    const std::int64_t p = std::int64_t{1} << e;
+    for (const std::int64_t v : {p - 1, p, p + 1}) {
+      if (v <= kMax) values.push_back(v);
+    }
+  }
+  for (std::int64_t k = 1; k <= kMax / 10; k *= 10) {
+    for (const std::int64_t v : {k - 1, k, k + 1, 10 * k - 1}) {
+      values.push_back(v);
+    }
+  }
+  for (int i = 0; i < 100'000; ++i) {
+    values.push_back(static_cast<std::int64_t>(rng() % (kMax + 1)));
+  }
+  for (const std::int64_t v : values) {
+    expect_formats_like_printf(static_cast<double>(v));
+    expect_formats_like_printf(-static_cast<double>(v));
+    // The integer overload prints what an ostream prints.
+    std::string text;
+    util::append_number(text, v);
+    EXPECT_EQ(text, std::to_string(v));
+  }
+}
+
+// %g switches from fixed to exponent notation when the exponent after
+// rounding to 12 significant digits reaches 12 or drops below -4.  Every
+// decade boundary from 1e-5 to 1e12 is probed on both sides: around the
+// power of ten itself and around the rounding point just below it, where
+// 9.99999999999|5 rounds up into the next decade.
+TEST(NumberFormat, MatchesPrintfAcrossEveryNotationSwitch) {
+  for (int e = -6; e <= 13; ++e) {
+    const double decade = std::pow(10.0, e);
+    const double round_up = decade * (1.0 - 5e-13);
+    for (const double centre : {decade, round_up}) {
+      double lo = centre;
+      double hi = centre;
+      for (int step = 0; step < 2000; ++step) {
+        expect_formats_like_printf(lo);
+        expect_formats_like_printf(hi);
+        expect_formats_like_printf(-lo);
+        lo = std::nextafter(lo, 0.0);
+        hi = std::nextafter(hi, std::numeric_limits<double>::infinity());
+      }
+      // And a wider relative neighbourhood than 2000 ulps reaches.
+      for (double rel = 1e-15; rel < 1e-9; rel *= 3.0) {
+        expect_formats_like_printf(centre * (1.0 - rel));
+        expect_formats_like_printf(centre * (1.0 + rel));
+      }
+    }
+  }
+}
+
+// ---- the trace reader against the DOM reader it replaced -------------------
+
+namespace dom_oracle {
+
+// The pre-rewrite read_trace_jsonl, verbatim: a heap DOM per line (a
+// std::string per key and string, a std::vector per container, strtod for
+// numbers) and a chain of std::string compares on "ev".
+struct JsonValue {
+  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
+  Kind kind = Kind::kNull;
+  bool boolean = false;
+  double number = 0.0;
+  std::string string;
+  std::vector<JsonValue> array;
+  std::vector<std::pair<std::string, JsonValue>> object;  // file order
+
+  const JsonValue* find(std::string_view key) const {
+    for (const auto& [k, v] : object) {
+      if (k == key) {
+        return &v;
+      }
+    }
+    return nullptr;
+  }
+  // Required typed accessors; checked errors keep schema drift loud.
+  double num(std::string_view key) const {
+    const JsonValue* v = find(key);
+    GE_CHECK(v != nullptr && v->kind == Kind::kNumber,
+             "trace/metrics JSON: missing numeric field");
+    return v->number;
+  }
+  const std::string& str(std::string_view key) const {
+    const JsonValue* v = find(key);
+    GE_CHECK(v != nullptr && v->kind == Kind::kString,
+             "trace/metrics JSON: missing string field");
+    return v->string;
+  }
+};
+
+class JsonParser {
+ public:
+  explicit JsonParser(std::string_view text) : text_(text) {}
+
+  JsonValue parse() {
+    JsonValue value = parse_value();
+    skip_ws();
+    GE_CHECK(pos_ == text_.size(), "JSON: trailing characters");
+    return value;
+  }
+
+ private:
+  void skip_ws() {
+    while (pos_ < text_.size() &&
+           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
+      ++pos_;
+    }
+  }
+
+  char peek() {
+    GE_CHECK(pos_ < text_.size(), "JSON: unexpected end of input");
+    return text_[pos_];
+  }
+
+  void expect(char ch) {
+    GE_CHECK(peek() == ch, "JSON: unexpected character");
+    ++pos_;
+  }
+
+  bool consume_literal(std::string_view lit) {
+    if (text_.substr(pos_, lit.size()) == lit) {
+      pos_ += lit.size();
+      return true;
+    }
+    return false;
+  }
+
+  JsonValue parse_value() {
+    skip_ws();
+    JsonValue value;
+    switch (peek()) {
+      case '{': {
+        value.kind = JsonValue::Kind::kObject;
+        expect('{');
+        skip_ws();
+        if (peek() == '}') {
+          expect('}');
+          return value;
+        }
+        while (true) {
+          skip_ws();
+          std::string key = parse_string();
+          skip_ws();
+          expect(':');
+          value.object.emplace_back(std::move(key), parse_value());
+          skip_ws();
+          if (peek() == ',') {
+            expect(',');
+            continue;
+          }
+          expect('}');
+          return value;
+        }
+      }
+      case '[': {
+        value.kind = JsonValue::Kind::kArray;
+        expect('[');
+        skip_ws();
+        if (peek() == ']') {
+          expect(']');
+          return value;
+        }
+        while (true) {
+          value.array.push_back(parse_value());
+          skip_ws();
+          if (peek() == ',') {
+            expect(',');
+            continue;
+          }
+          expect(']');
+          return value;
+        }
+      }
+      case '"':
+        value.kind = JsonValue::Kind::kString;
+        value.string = parse_string();
+        return value;
+      case 't':
+        GE_CHECK(consume_literal("true"), "JSON: bad literal");
+        value.kind = JsonValue::Kind::kBool;
+        value.boolean = true;
+        return value;
+      case 'f':
+        GE_CHECK(consume_literal("false"), "JSON: bad literal");
+        value.kind = JsonValue::Kind::kBool;
+        return value;
+      case 'n':
+        GE_CHECK(consume_literal("null"), "JSON: bad literal");
+        return value;
+      default:
+        value.kind = JsonValue::Kind::kNumber;
+        value.number = parse_number();
+        return value;
+    }
+  }
+
+  std::string parse_string() {
+    expect('"');
+    std::string out;
+    while (true) {
+      GE_CHECK(pos_ < text_.size(), "JSON: unterminated string");
+      const char ch = text_[pos_++];
+      if (ch == '"') {
+        return out;
+      }
+      if (ch == '\\') {
+        GE_CHECK(pos_ < text_.size(), "JSON: unterminated escape");
+        const char esc = text_[pos_++];
+        switch (esc) {
+          case '"': out.push_back('"'); break;
+          case '\\': out.push_back('\\'); break;
+          case '/': out.push_back('/'); break;
+          case 'n': out.push_back('\n'); break;
+          case 't': out.push_back('\t'); break;
+          case 'r': out.push_back('\r'); break;
+          default:
+            GE_CHECK(false, "JSON: unsupported escape sequence");
+        }
+        continue;
+      }
+      out.push_back(ch);
+    }
+  }
+
+  double parse_number() {
+    const char* begin = text_.data() + pos_;
+    char* end = nullptr;
+    const double value = std::strtod(begin, &end);
+    GE_CHECK(end != begin, "JSON: expected a number");
+    pos_ += static_cast<std::size_t>(end - begin);
+    return value;
+  }
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+};
+
+int parse_mode(const std::string& name) {
+  if (name == "AES") return kModeAes;
+  if (name == "BQ") return kModeBq;
+  return -1;
+}
+
+std::int32_t parse_check(const std::string& name) {
+  for (std::int32_t check = 0;; ++check) {
+    const char* known = violation_check_name(check);
+    if (std::string_view(known) == "?") {
+      GE_CHECK(false, "trace JSONL: unknown violation check name");
+    }
+    if (name == known) {
+      return check;
+    }
+  }
+}
+
+std::int32_t parse_server_state(const std::string& name) {
+  for (std::int32_t state = 0;; ++state) {
+    const char* known = server_state_name(state);
+    if (std::string_view(known) == "?") {
+      GE_CHECK(false, "trace JSONL: unknown server lifecycle state name");
+    }
+    if (name == known) {
+      return state;
+    }
+  }
+}
+
+std::vector<ParsedTask> read_trace_jsonl(std::istream& in) {
+  std::vector<ParsedTask> tasks;
+  std::string line;
+  std::size_t line_no = 0;
+  while (std::getline(in, line)) {
+    ++line_no;
+    if (line.empty()) {
+      continue;
+    }
+    const JsonValue record = JsonParser(line).parse();
+    GE_CHECK(record.kind == JsonValue::Kind::kObject,
+             "trace JSONL: every line must be an object");
+    const std::string& kind = record.str("ev");
+    if (kind == "meta") {
+      ParsedTask task;
+      task.info.task = static_cast<std::size_t>(record.num("task"));
+      task.info.scheduler = record.str("scheduler");
+      task.info.arrival_rate = record.num("arrival_rate");
+      task.info.cores = static_cast<std::size_t>(record.num("cores"));
+      task.info.power_budget = record.num("power_budget_w");
+      const JsonValue* pm = record.find("power_model");
+      GE_CHECK(pm != nullptr && pm->kind == JsonValue::Kind::kObject,
+               "trace JSONL: meta record lacks a power_model object");
+      task.model = power::PowerModel(pm->num("a"), pm->num("beta"),
+                                     pm->num("units_per_ghz"));
+      task.info.power_model_json = task.model.describe_json();
+      // Optional for pre-ladder traces; empty = continuous speeds.
+      if (const JsonValue* ladder = record.find("ladder"); ladder != nullptr) {
+        GE_CHECK(ladder->kind == JsonValue::Kind::kArray,
+                 "trace JSONL: meta ladder must be an array");
+        for (const JsonValue& level : ladder->array) {
+          GE_CHECK(level.kind == JsonValue::Kind::kNumber,
+                   "trace JSONL: meta ladder entries must be numbers");
+          task.info.ladder_units.push_back(level.number);
+        }
+      }
+      GE_CHECK(task.info.task == tasks.size(),
+               "trace JSONL: meta records out of order");
+      tasks.push_back(std::move(task));
+      continue;
+    }
+    GE_CHECK(!tasks.empty(), "trace JSONL: event before the first meta record");
+    GE_CHECK(static_cast<std::size_t>(record.num("task")) == tasks.size() - 1,
+             "trace JSONL: event names a task other than the current one");
+    TraceEvent ev;
+    ev.t = record.num("t");
+    if (kind == "arrival") {
+      ev.type = TraceEventType::kArrival;
+      ev.job = static_cast<std::int64_t>(record.num("job"));
+      ev.a = record.num("demand");
+      ev.b = record.num("deadline");
+      // Tenant id rides in c; absent in pre-tenant traces (=> tenant 0).
+      const JsonValue* tenant = record.find("tenant");
+      ev.c = tenant != nullptr ? tenant->number : 0.0;
+    } else if (kind == "round") {
+      ev.type = TraceEventType::kRound;
+      ev.mode = parse_mode(record.str("mode"));
+      ev.a = record.num("waiting");
+      ev.b = record.num("rate");
+      ev.c = record.num("round");
+    } else if (kind == "mode") {
+      ev.type = TraceEventType::kModeSwitch;
+      ev.mode = parse_mode(record.str("mode"));
+      ev.a = record.num("quality");
+    } else if (kind == "cut") {
+      ev.type = TraceEventType::kCut;
+      ev.core = static_cast<std::int32_t>(record.num("core"));
+      ev.a = record.num("jobs");
+      ev.b = record.num("level");
+      ev.c = record.num("target_units");
+    } else if (kind == "cap") {
+      ev.type = TraceEventType::kCap;
+      ev.core = static_cast<std::int32_t>(record.num("core"));
+      ev.a = record.num("watts");
+    } else if (kind == "exec") {
+      ev.type = TraceEventType::kExec;
+      ev.t2 = record.num("t_end");
+      ev.core = static_cast<std::int32_t>(record.num("core"));
+      ev.job = static_cast<std::int64_t>(record.num("job"));
+      ev.a = record.num("speed");
+    } else if (kind == "completion" || kind == "deadline_miss") {
+      ev.type = kind == "completion" ? TraceEventType::kCompletion
+                                     : TraceEventType::kDeadlineMiss;
+      ev.core = static_cast<std::int32_t>(record.num("core"));
+      ev.job = static_cast<std::int64_t>(record.num("job"));
+      ev.a = record.num("executed");
+      ev.b = record.num("demand");
+      ev.c = record.num("quality");
+    } else if (kind == "core_offline") {
+      ev.type = TraceEventType::kCoreOffline;
+      ev.core = static_cast<std::int32_t>(record.num("core"));
+    } else if (kind == "dispatch") {
+      ev.type = TraceEventType::kDispatch;
+      ev.job = static_cast<std::int64_t>(record.num("job"));
+      ev.core = static_cast<std::int32_t>(record.num("server"));
+      ev.a = record.num("in_flight");
+    } else if (kind == "assign") {
+      ev.type = TraceEventType::kAssign;
+      ev.job = static_cast<std::int64_t>(record.num("job"));
+      ev.core = static_cast<std::int32_t>(record.num("core"));
+    } else if (kind == "violation") {
+      ev.type = TraceEventType::kViolation;
+      ev.mode = parse_check(record.str("check"));
+      ev.a = record.num("observed");
+      ev.b = record.num("expected");
+    } else if (kind == "server_state") {
+      ev.type = TraceEventType::kServerState;
+      ev.core = static_cast<std::int32_t>(record.num("server"));
+      ev.mode = parse_server_state(record.str("state"));
+    } else {
+      GE_CHECK(false, "trace JSONL: unknown event kind");
+    }
+    tasks.back().buffer.push(ev);
+  }
+  return tasks;
+}
+
+}  // namespace dom_oracle
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_bit_identical(const std::vector<ParsedTask>& got,
+                          const std::vector<ParsedTask>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t t = 0; t < got.size(); ++t) {
+    SCOPED_TRACE("task " + std::to_string(t));
+    const TraceTaskInfo& a = got[t].info;
+    const TraceTaskInfo& b = want[t].info;
+    EXPECT_EQ(a.task, b.task);
+    EXPECT_EQ(a.scheduler, b.scheduler);
+    EXPECT_EQ(bits(a.arrival_rate), bits(b.arrival_rate));
+    EXPECT_EQ(a.cores, b.cores);
+    EXPECT_EQ(bits(a.power_budget), bits(b.power_budget));
+    EXPECT_EQ(a.power_model_json, b.power_model_json);
+    ASSERT_EQ(a.ladder_units.size(), b.ladder_units.size());
+    for (std::size_t i = 0; i < a.ladder_units.size(); ++i) {
+      EXPECT_EQ(bits(a.ladder_units[i]), bits(b.ladder_units[i]));
+    }
+    EXPECT_EQ(bits(got[t].model.a()), bits(want[t].model.a()));
+    EXPECT_EQ(bits(got[t].model.beta()), bits(want[t].model.beta()));
+    EXPECT_EQ(bits(got[t].model.units_per_ghz()),
+              bits(want[t].model.units_per_ghz()));
+    const std::vector<TraceEvent>& x = got[t].buffer.events();
+    const std::vector<TraceEvent>& y = want[t].buffer.events();
+    ASSERT_EQ(x.size(), y.size());
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      ASSERT_TRUE(x[i].type == y[i].type && bits(x[i].t) == bits(y[i].t) &&
+                  bits(x[i].t2) == bits(y[i].t2) && x[i].core == y[i].core &&
+                  x[i].job == y[i].job && x[i].mode == y[i].mode &&
+                  bits(x[i].a) == bits(y[i].a) && bits(x[i].b) == bits(y[i].b) &&
+                  bits(x[i].c) == bits(y[i].c))
+          << "event " << i;
+    }
+  }
+}
+
+void expect_readers_agree(const std::string& jsonl) {
+  std::istringstream fast_in(jsonl);
+  std::istringstream dom_in(jsonl);
+  expect_bit_identical(read_trace_jsonl(fast_in),
+                       dom_oracle::read_trace_jsonl(dom_in));
+}
+
+// JSONL of a two-task (GE, BE) plan under `cfg`, through the engine's
+// --trace path, so the text is exactly what the tools write.
+std::string seeded_trace(exp::ExperimentConfig cfg, const std::string& tag) {
+  exp::ExperimentPlan plan;
+  plan.add(cfg, exp::SchedulerSpec::parse("GE"), 0);
+  plan.add(cfg, exp::SchedulerSpec::parse("BE"), 0);
+  exp::ExecutionOptions exec;
+  exec.jobs = 1;
+  exec.telemetry.trace_path = ::testing::TempDir() + "/reader_oracle_" + tag +
+                              ".jsonl";
+  (void)exp::run_plan(plan, exec);
+  std::ifstream in(exec.telemetry.trace_path, std::ios::binary);
+  std::stringstream text;
+  text << in.rdbuf();
+  std::remove(exec.telemetry.trace_path.c_str());
+  return text.str();
+}
+
+std::vector<std::pair<std::string, exp::ExperimentConfig>> oracle_configs() {
+  exp::ExperimentConfig base = exp::ExperimentConfig::paper_defaults();
+  base.duration = 2.0;
+  base.seed = 15;
+  base.arrival_rate = 200.0;
+  std::vector<std::pair<std::string, exp::ExperimentConfig>> out;
+  out.emplace_back("single", base);
+  exp::ExperimentConfig fleet = base;
+  fleet.num_servers = 8;
+  fleet.dispatch = cluster::DispatchPolicy::kJsq;
+  fleet.arrival_rate = 8 * 150.0;
+  out.emplace_back("fleet_jsq8", fleet);
+  exp::ExperimentConfig tenants = base;
+  tenants.num_tenants = 3;
+  out.emplace_back("tenants", tenants);
+  exp::ExperimentConfig churn = base;
+  churn.num_servers = 4;
+  churn.dispatch = cluster::DispatchPolicy::kJsq;
+  churn.arrival_rate = 4 * 120.0;
+  churn.churn = 0.4;
+  churn.churn_dwell = 0.4;
+  out.emplace_back("lifecycle", churn);
+  exp::ExperimentConfig failures = base;
+  failures.failure_time = 1.0;
+  failures.failure_cores = 4;
+  out.emplace_back("failures", failures);
+  exp::ExperimentConfig ladder = base;
+  ladder.discrete_speeds = true;
+  out.emplace_back("ladder", ladder);
+  return out;
+}
+
+TEST(TraceReaderOracle, BitIdenticalOnSeededRuns) {
+  for (const auto& [tag, cfg] : oracle_configs()) {
+    SCOPED_TRACE(tag);
+    const std::string jsonl = seeded_trace(cfg, tag);
+    ASSERT_FALSE(jsonl.empty());
+    expect_readers_agree(jsonl);
+  }
+}
+
+// Re-serialises an oracle DOM value.  Numbers print with 17 significant
+// digits (exact for every double), so a mutated line names the same values
+// as the written one; `ws` is what goes around every token.
+void serialize(const dom_oracle::JsonValue& v, std::string& out,
+               const std::string& ws, bool reverse, std::mt19937_64& rng) {
+  using Kind = dom_oracle::JsonValue::Kind;
+  const auto quote = [&out](const std::string& text) {
+    out += '"';
+    for (const char ch : text) {
+      switch (ch) {
+        case '"': out += "\\\""; break;
+        case '\\': out += "\\\\"; break;
+        case '\n': out += "\\n"; break;
+        case '\t': out += "\\t"; break;
+        case '\r': out += "\\r"; break;
+        case '/': out += "\\/"; break;
+        default: out += ch;
+      }
+    }
+    out += '"';
+  };
+  switch (v.kind) {
+    case Kind::kNull: out += "null"; break;
+    case Kind::kBool: out += v.boolean ? "true" : "false"; break;
+    case Kind::kNumber: {
+      char buf[40];
+      std::snprintf(buf, sizeof(buf), "%.17g", v.number);
+      out += buf;
+      break;
+    }
+    case Kind::kString: quote(v.string); break;
+    case Kind::kArray:
+      out += "[" + ws;
+      for (std::size_t i = 0; i < v.array.size(); ++i) {
+        if (i > 0) out += ws + "," + ws;
+        serialize(v.array[i], out, ws, reverse, rng);
+      }
+      out += ws + "]";
+      break;
+    case Kind::kObject: {
+      std::vector<std::size_t> order(v.object.size());
+      for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+      if (reverse) {
+        std::reverse(order.begin(), order.end());
+      } else {
+        std::shuffle(order.begin(), order.end(), rng);
+      }
+      out += "{" + ws;
+      for (std::size_t i = 0; i < order.size(); ++i) {
+        if (i > 0) out += ws + "," + ws;
+        quote(v.object[order[i]].first);
+        out += ws + ":" + ws;
+        serialize(v.object[order[i]].second, out, ws, reverse, rng);
+      }
+      out += ws + "}";
+      break;
+    }
+  }
+}
+
+TEST(TraceReaderOracle, BitIdenticalOnMutatedLines) {
+  // Unknown fields the reader must skip: nested containers, escaped keys
+  // and strings, every literal.
+  const std::string extra_object =
+      "{\"nested\": [1, {\"a\": \"b\\\"c\"}, [], {}, true, null, false], "
+      "\"k\": -2.5e-3}";
+  const std::string extra_array = "[[1, [2, [3]]], \"x\\\\y\", -0.0, 1e300]";
+  std::mt19937_64 rng(4242);
+  for (const auto& [tag, cfg] : oracle_configs()) {
+    SCOPED_TRACE(tag);
+    std::istringstream lines(seeded_trace(cfg, tag + "_mut"));
+    std::string mutated;
+    std::string line;
+    std::size_t n = 0;
+    while (std::getline(lines, line)) {
+      const dom_oracle::JsonValue v = dom_oracle::JsonParser(line).parse();
+      std::string record;
+      const std::string ws = n % 3 == 0 ? "" : (n % 3 == 1 ? " " : " \t  ");
+      serialize(v, record, ws, /*reverse=*/n % 2 == 0, rng);
+      // Splice unknown fields in after the opening brace and before the
+      // closing one.
+      const std::string open = "{" + ws + "\"x_extra\\\"key\"" + ws + ":" + ws +
+                               extra_object + ws + "," + ws;
+      const std::string close = ws + "," + ws + "\"x_list\": " + extra_array;
+      record = open + record.substr(1 + ws.size());
+      record.insert(record.size() - 1 - ws.size(), close);
+      if (n % 5 == 0) {
+        record = "  \t" + record + "\t ";
+      }
+      if (v.find("scheduler") != nullptr) {
+        // An escaped scheduler name: quotes, backslashes, a solidus.
+        const std::string plain = "\"scheduler\"" + ws + ":" + ws + "\"";
+        const std::size_t at = record.find(plain);
+        ASSERT_NE(at, std::string::npos);
+        record.insert(at + plain.size(), "a\\\"q\\\\b\\/ ");
+      }
+      mutated += record;
+      mutated += "\n";
+      ++n;
+    }
+    ASSERT_GT(n, 100u);
+    expect_readers_agree(mutated);
+  }
+}
+
+}  // namespace
+}  // namespace ge::obs::analysis

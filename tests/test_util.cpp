@@ -270,6 +270,17 @@ TEST(Flags, UnknownListsGivenFlagsNobodyAskedFor) {
   EXPECT_TRUE(flags.unknown().empty());
 }
 
+TEST(Flags, ExitOnUnknownNamesTheFlagsAndExitsTwo) {
+  const char* argv[] = {"prog", "--rate", "150", "--bogus", "--typo=3"};
+  const Flags flags(5, argv);
+  flags.get_double("rate", 0.0);
+  EXPECT_EXIT(flags.exit_on_unknown("prog"), ::testing::ExitedWithCode(2),
+              "prog: unknown flags --bogus, --typo \\(see docs/CLI.md\\)");
+  flags.get_bool("bogus", false);
+  flags.get_int("typo", 0);
+  flags.exit_on_unknown("prog");  // everything asked for: returns
+}
+
 TEST(Flags, PositionalArguments) {
   const char* argv[] = {"prog", "file.csv", "--x=1", "other"};
   Flags flags(4, argv);

@@ -17,6 +17,7 @@
 // flags, so CI diffs dashboards across --jobs/--shards byte-for-byte.  A
 // directory without trace.jsonl or with a different schema version is a
 // clean error (exit 2): regenerate the report with this build's --report.
+// Any other flag is a usage error (exit 2, one stderr line naming it).
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -30,6 +31,14 @@ int main(int argc, char** argv) {
 
   const std::string report_dir = flags.get_string("report", "");
   const std::string out_path = flags.get_string("out", "");
+  obs::analysis::DashboardOptions options;
+  options.speed_bin_ghz = flags.get_double("speed-bin", options.speed_bin_ghz);
+  options.timeline_bins = static_cast<std::size_t>(
+      flags.get_int("bins", static_cast<std::int64_t>(options.timeline_bins)));
+  options.gantt_slice_cap = static_cast<std::size_t>(flags.get_int(
+      "gantt-cap", static_cast<std::int64_t>(options.gantt_slice_cap)));
+  // Every flag has been read: a typo or a removed flag is a usage error.
+  flags.exit_on_unknown("ge_dashboard");
   if (report_dir.empty() || out_path.empty()) {
     std::fprintf(stderr, "usage: ge_dashboard --report DIR --out FILE\n");
     return 2;
@@ -40,13 +49,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "ge_dashboard: %s\n", loaded.error.c_str());
     return 2;
   }
-
-  obs::analysis::DashboardOptions options;
-  options.speed_bin_ghz = flags.get_double("speed-bin", options.speed_bin_ghz);
-  options.timeline_bins = static_cast<std::size_t>(
-      flags.get_int("bins", static_cast<std::int64_t>(options.timeline_bins)));
-  options.gantt_slice_cap = static_cast<std::size_t>(flags.get_int(
-      "gantt-cap", static_cast<std::int64_t>(options.gantt_slice_cap)));
 
   std::ofstream out(out_path, std::ios::binary);
   if (!out.good()) {

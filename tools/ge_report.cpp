@@ -29,6 +29,8 @@
 //                    accrual term round-trips the writer's %.12g formatting,
 //                    so the in-process 1e-9 does not hold from files)
 //
+// Any other flag is a usage error (exit 2, one stderr line naming it).
+//
 // Output is deterministic: report and dashboard bytes are a pure function
 // of the input files and flags (schemas ge-report-v1 / ge-dashboard-v1,
 // docs/OBSERVABILITY.md).  CI runs this tool on the telemetry smoke trace
@@ -51,6 +53,17 @@ int main(int argc, char** argv) {
 
   const std::string trace_path = flags.get_string("trace", "");
   const std::string report_dir_in = flags.get_string("report", "");
+  const std::string metrics_path = flags.get_string("metrics", "");
+  obs::analysis::DashboardOptions options;
+  options.speed_bin_ghz = flags.get_double("speed-bin", options.speed_bin_ghz);
+  options.timeline_bins = static_cast<std::size_t>(
+      flags.get_int("bins", static_cast<std::int64_t>(options.timeline_bins)));
+  options.energy_rel_tol = flags.get_double("energy-tol", 1e-6);
+  const std::string dashboard_path = flags.get_string("dashboard", "");
+  const std::string out_dir = flags.get_string("out", "report");
+  const bool want_report = flags.has("out") || dashboard_path.empty();
+  // Every flag has been read: a typo or a removed flag is a usage error.
+  flags.exit_on_unknown("ge_report");
   if (trace_path.empty() == report_dir_in.empty()) {
     std::fprintf(stderr,
                  "usage: ge_report (--trace FILE | --report DIR) [--out DIR] "
@@ -92,7 +105,6 @@ int main(int argc, char** argv) {
   // single task's reported energy only when the trace holds a single task;
   // for multi-task traces the summed cross-check is printed below instead.
   double metrics_energy_j = -1.0;
-  const std::string metrics_path = flags.get_string("metrics", "");
   if (!metrics_path.empty()) {
     std::ifstream metrics_in(metrics_path);
     GE_CHECK(metrics_in.good(),
@@ -104,16 +116,6 @@ int main(int argc, char** argv) {
   if (loaded.inputs.size() == 1 && metrics_energy_j >= 0.0) {
     loaded.inputs[0].reported_energy_j = metrics_energy_j;
   }
-
-  obs::analysis::DashboardOptions options;
-  options.speed_bin_ghz = flags.get_double("speed-bin", options.speed_bin_ghz);
-  options.timeline_bins = static_cast<std::size_t>(
-      flags.get_int("bins", static_cast<std::int64_t>(options.timeline_bins)));
-  options.energy_rel_tol = flags.get_double("energy-tol", 1e-6);
-
-  const std::string dashboard_path = flags.get_string("dashboard", "");
-  const std::string out_dir = flags.get_string("out", "report");
-  const bool want_report = flags.has("out") || dashboard_path.empty();
 
   obs::analysis::ReportWriter writer(options);
   for (const obs::analysis::TaskInput& input : loaded.inputs) {

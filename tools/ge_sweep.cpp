@@ -84,16 +84,7 @@ int main(int argc, char** argv) {
   const std::string metric = flags.get_string("metric", "quality");
   // Every flag has been read: anything left is a typo or a removed flag, and
   // running on defaults would silently answer a different question.
-  const std::vector<std::string> unknown = flags.unknown();
-  if (!unknown.empty()) {
-    std::string names;
-    for (const std::string& name : unknown) {
-      names += (names.empty() ? "--" : ", --") + name;
-    }
-    std::fprintf(stderr, "ge_sweep: unknown flag%s %s (see docs/CLI.md)\n",
-                 unknown.size() > 1 ? "s" : "", names.c_str());
-    return 2;
-  }
+  flags.exit_on_unknown("ge_sweep");
 
   const auto points = exp::sweep_arrival_rates(base, specs, rates, exec);
 
