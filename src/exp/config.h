@@ -146,10 +146,10 @@ struct ExperimentConfig {
   std::uint64_t seed = 1;
 
   // Streaming replay (docs/DESIGN.md, "Streaming core").  When `stream` is
-  // true the runner generates and releases jobs on the fly from a JobStore
-  // arena instead of materialising the whole trace up front: resident memory
-  // tracks jobs *in flight*, so 10^6+-job replays fit in a small, flat RSS.
-  // Results are bit-identical to the materialised path (fuzz-pinned).
+  // true the runner draws each job from the generator as the previous one is
+  // released instead of replaying a trace generated up front: resident
+  // memory tracks jobs *in flight*, so 10^6+-job replays fit in a small,
+  // flat RSS.  Results are bit-identical to the trace replay (fuzz-pinned).
   bool stream = false;
   // Cap on released jobs, 0 = unlimited.  Applies to both paths (the capped
   // run replays the capped prefix of the uncapped job stream), so

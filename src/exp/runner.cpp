@@ -33,17 +33,17 @@ namespace {
 
 constexpr double kCompleteTol = 1e-6;
 
-// Trace capacity reserved per job of a materialised trace.  One-server runs
+// Trace capacity reserved per job of a replayed trace.  One-server runs
 // record about 9-17 events per job (fleets more; their buffers grow past the
 // reservation as before).  Sizing the buffer once spares the doubling's
 // copies and the fresh pages each step touches; capacity a run does not use
 // is address space that is never touched.
 constexpr std::size_t kTraceEventsPerJob = 16;
 
-// Per-job end-of-life accounting, shared verbatim by the materialised and
-// streaming paths.  Bit-identity between the two paths hinges on this being
-// the *single* definition of the per-job arithmetic: both feed jobs in id
-// order, so the floating-point accumulation sequence is identical.
+// Per-job end-of-life accounting, shared verbatim by the serial job pipeline
+// and the sharded path.  Bit-identity between the two hinges on this being
+// the *single* definition of the per-job arithmetic: both feed jobs in
+// release order, so the floating-point accumulation sequence is identical.
 struct JobAccounting {
   const quality::QualityFunction* f;
   RunResult* result;
@@ -103,30 +103,58 @@ struct JobAccounting {
   }
 };
 
-// State of the streaming job pipeline (docs/DESIGN.md, "Streaming core").
-//
-// Jobs live in a JobStore arena from release to retirement; arrivals are
-// self-scheduling (each arrival event stages the next one), so at most one
-// generated-but-unreleased job exists at a time.  Retirement happens at the
-// deadline event -- the last event that can touch a job -- and retired jobs
-// pass through an id-ordered reorder buffer into JobAccounting, because
-// random deadline windows let a later job's deadline fire before an earlier
-// one's.  The buffer stays small: it holds at most the jobs whose deadline
-// windows overlap (bounded by arrival rate x widest window), not the run.
+// The job pipeline every serial run releases its jobs through
+// (docs/DESIGN.md, "Streaming core").  Jobs come from a cursor over the
+// caller's trace or from the workload generator and live in a JobStore arena
+// from release to retirement.  Each arrival event stages the next one, and
+// the k-th released job's arrival and deadline carry the keys 2k-1 and 2k,
+// below every other event's (Simulator::schedule_keyed), so job events pop
+// in the order of scheduling them all up front, as the sharded path does.
+// Jobs retire at their deadline event -- the last event that can touch a
+// job -- and pass through a reorder buffer keyed by release ordinal into
+// JobAccounting, because a later job's deadline can fire first.  The buffer
+// holds at most the jobs whose deadline windows overlap, not the run.
 struct StreamState {
   workload::JobStore store;
-  workload::WorkloadGenerator gen;
-  std::optional<workload::Job> staged;  // generated, not yet released
-  std::uint64_t remaining;              // releases still allowed under max_jobs
-  std::map<std::uint64_t, workload::Job> retired;  // id-ordered reorder buffer
-  std::uint64_t next_account = 1;  // generator ids start at 1
+  const std::vector<workload::Job>* trace;  // null: draw from `gen`
+  std::optional<workload::WorkloadGenerator> gen;
+  // Stop rules: a trace is released whole; the generator stops at the
+  // arrival horizon or the max_jobs cap, as Trace::generate does, so both
+  // sources release the same jobs for one cfg.
+  std::uint64_t limit;
+  double horizon;
+  std::optional<workload::Job> staged;  // drawn, not yet released
+  std::uint64_t staged_count = 0;       // release ordinal of `staged`
+  std::map<std::uint64_t, workload::Job> retired;  // keyed by release ordinal
+  std::uint64_t next_account = 1;
 
-  StreamState(double quarantine_delay, const workload::WorkloadSpec& spec,
-              std::uint64_t max_jobs)
+  StreamState(double quarantine_delay, const ExperimentConfig& cfg,
+              const workload::Trace* source)
       : store(quarantine_delay),
-        gen(spec),
-        remaining(max_jobs == 0 ? std::numeric_limits<std::uint64_t>::max()
-                                : max_jobs) {}
+        trace(source != nullptr ? &source->jobs() : nullptr),
+        limit(source != nullptr ? source->size()
+              : cfg.max_jobs == 0 ? std::numeric_limits<std::uint64_t>::max()
+                                  : cfg.max_jobs),
+        horizon(source != nullptr ? std::numeric_limits<double>::infinity()
+                                  : cfg.duration) {
+    if (source == nullptr) {
+      gen.emplace(cfg.workload_spec());
+    }
+  }
+
+  // Draws the next job into `staged`; false once the source is exhausted.
+  bool stage() {
+    if (staged_count == limit) {
+      return false;  // checked first: the cap draws no more randomness
+    }
+    workload::Job job = trace != nullptr ? (*trace)[staged_count] : gen->next();
+    if (job.arrival >= horizon) {
+      return false;
+    }
+    staged = job;
+    ++staged_count;
+    return true;
+  }
 };
 
 // Installs the profitability screen (config.h `admission`): reject jobs
@@ -180,23 +208,13 @@ double run_horizon(const ExperimentConfig& cfg) {
   return cfg.duration + cfg.deadline_interval_max + 2.0 * cfg.quantum;
 }
 
-// Records a job's release in the trace (both release paths emit it).
-void trace_arrival(obs::TraceBuffer& trace_buf, const workload::Job& job) {
-  obs::TraceEvent ev;
-  ev.type = obs::TraceEventType::kArrival;
-  ev.t = job.arrival;
-  ev.job = static_cast<std::int64_t>(job.id);
-  ev.a = job.demand;
-  ev.b = job.deadline;
-  ev.c = static_cast<double>(job.tenant);
-  trace_buf.push(ev);
-}
-
 // Schedules the events that are not jobs -- the power-cap check grid, the
 // core failure and the timeline sampler, in that order -- on the control
 // simulator.  Each reads or mutates servers across the cluster, so on a
-// sharded run it is a cross-shard event, exact at the barrier.  Both paths
-// call this right after the job events, so their (time, seq) orders agree.
+// sharded run it is a cross-shard event, exact at the barrier.  Job events
+// precede these at equal time on both paths -- scheduled first on the
+// sharded path, keyed below them on the serial one -- so the (time, seq)
+// orders agree.
 void schedule_control_events(const ExperimentConfig& cfg,
                              cluster::Cluster& cluster, sim::Simulator& control,
                              Timeline* timeline) {
@@ -252,12 +270,13 @@ void schedule_control_events(const ExperimentConfig& cfg,
   }
 }
 
-// Post-run aggregation over per-job and per-node state, shared by the
-// serial and sharded paths.  Every loop walks jobs in id order and nodes in
-// node order, so the floating-point accumulation sequence depends only on
-// the final state, not on how the run was executed -- this is what makes
-// sharded results bit-identical to serial ones.  `now` is the simulator
-// clock at the end of the run (== horizon on every path).
+// Post-run aggregation over the per-job accounting and per-node state,
+// shared by the serial and sharded paths.  Jobs were accounted in release
+// order and every loop here walks nodes in node order, so the floating-point
+// accumulation sequence depends only on the final state, not on how the run
+// was executed -- this is what makes sharded results bit-identical to
+// serial ones.  `now` is the simulator clock at the end of the run
+// (== horizon on every path).
 void finalize_results(const ExperimentConfig& cfg, const power::PowerModel& pm,
                       cluster::Cluster& cluster, JobAccounting& acct,
                       double horizon, double now, RunResult& result) {
@@ -361,14 +380,17 @@ void finalize_results(const ExperimentConfig& cfg, const power::PowerModel& pm,
 
 // One sharded experiment (docs/DESIGN.md §11): per-server-group simulators
 // advanced by worker threads, with a barrier at every cross-shard event.
-// Only materialised, telemetry-free runs shard (run_simulation_impl routes
-// here); results are bit-identical to the serial path because
+// Only trace-fed, telemetry-free runs shard (run_simulation_impl routes
+// here).  Every job event is scheduled at setup, before anything else, which
+// is the order the serial run's keyed job events reproduce.  Results are
+// bit-identical to the serial path because
 //   * setup and every cross-shard event run in the serial stamp context,
-//     whose shared counter reproduces the serial push order, so each
-//     queue's (time, seq) order is the serial order projected onto it;
+//     whose shared counter reproduces the serial (time, seq) order, so each
+//     queue's order is the serial order projected onto it;
 //   * a shard's servers interact with nothing outside the shard between
 //     cross-shard events, so their state evolution is the serial one;
-//   * finalize_results only walks final state, in id / node order.
+//   * accounting walks the jobs in release order and finalize_results walks
+//     the final state in node order.
 RunResult run_simulation_sharded(const ExperimentConfig& cfg,
                                  const SchedulerSpec& spec,
                                  const workload::Trace& trace,
@@ -456,23 +478,22 @@ RunResult run_simulation_sharded(const ExperimentConfig& cfg,
 }
 
 // Shards only when nothing requires the single serial event sequence: the
-// run must be materialised (streaming drives one global JobStore pipeline)
-// and telemetry-free (trace/metric emission order is the serial event
-// interleaving, which shards do not reconstruct).  A capped count of 1 --
-// including every single-server run -- takes the serial path unchanged.
-std::size_t effective_shard_count(const ExperimentConfig& cfg,
-                                  bool materialised, bool with_telemetry) {
-  if (!materialised || with_telemetry || cfg.shards <= 1) {
+// run must replay a trace (a generator-fed run draws each job as the
+// previous one is released, one global chain) and be telemetry-free
+// (trace/metric emission order is the serial event interleaving, which
+// shards do not reconstruct).  A capped count of 1 -- including every
+// single-server run -- takes the serial path unchanged.
+std::size_t effective_shard_count(const ExperimentConfig& cfg, bool trace_fed,
+                                  bool with_telemetry) {
+  if (!trace_fed || with_telemetry || cfg.shards <= 1) {
     return 1;
   }
   return std::min(cfg.shards, cfg.num_servers);
 }
 
-// One experiment end to end.  `trace == nullptr` selects the streaming path;
-// everything outside job release/accounting is shared, and release order is
-// engineered so the event sequence matches the materialised path wherever
-// the (time, seq) tie order is observable -- see the comments at the
-// streaming block.
+// One experiment end to end.  `trace == nullptr` draws the jobs from the
+// workload generator on the fly; otherwise the caller's trace is replayed.
+// Either way a serial run releases them through one StreamState pipeline.
 RunResult run_simulation_impl(const ExperimentConfig& cfg,
                               const SchedulerSpec& spec,
                               const workload::Trace* trace, Timeline* timeline,
@@ -524,78 +545,54 @@ RunResult run_simulation_impl(const ExperimentConfig& cfg,
   JobAccounting acct{&f, &result, 0.0, 0.0, {}, {}};
   init_tenants(cfg, acct);
 
-  // Materialised path: private, mutable copy of the trace; addresses are
-  // stable for the run.  Accounting happens after the run, in id order.
-  std::vector<workload::Job> jobs;
-  // Streaming path: arena-backed pipeline; accounting happens online as the
-  // reorder buffer drains in id order.
-  std::unique_ptr<StreamState> st;
-  std::function<void()> release_staged;
-  std::function<void()> stage_next;
-
   if (trace != nullptr) {
-    jobs = trace->jobs();
+    acct.responses.reserve(trace->size());
     if (trace_buf != nullptr) {
-      trace_buf->reserve(trace_buf->size() + jobs.size() * kTraceEventsPerJob);
+      trace_buf->reserve(trace_buf->size() + trace->size() * kTraceEventsPerJob);
     }
-    for (workload::Job& job : jobs) {
-      sim.schedule_at(job.arrival, [&cluster, &job, trace_buf] {
-        if (trace_buf != nullptr) {
-          trace_arrival(*trace_buf, job);
-        }
-        cluster.on_job_arrival(&job);
-      });
-      sim.schedule_at(job.deadline, [&cluster, &job] { cluster.on_deadline(&job); });
-    }
-  } else {
-    // The quarantine must outlast every scheduler-side reference to a
-    // settled job.  The GE engine purges settled pointers from its waiting
-    // queue and EDF caches at the next round, and the quantum chain bounds
-    // the round gap; two quanta leave generous slack.
-    st = std::make_unique<StreamState>(2.0 * cfg.quantum + 1e-3,
-                                       cfg.workload_spec(), cfg.max_jobs);
-    stage_next = [&cfg, &sim, &st, &release_staged] {
-      if (st->remaining == 0) {
-        return;  // max_jobs cap: stop without drawing more randomness
-      }
-      workload::Job job = st->gen.next();
-      if (job.arrival >= cfg.duration) {
-        return;  // same stop rule as WorkloadGenerator::generate_until
-      }
-      --st->remaining;
-      const double at = job.arrival;
-      st->staged = std::move(job);
-      sim.schedule_at(at, release_staged);
-    };
-    release_staged = [&cluster, &sim, &st, &stage_next, &acct, trace_buf] {
-      st->store.reclaim(sim.now());
-      workload::Job* job = st->store.acquire(*st->staged);
-      st->staged.reset();
-      // Event-creation order mirrors the materialised path's (time, seq)
-      // tie order everywhere ties are possible: the deadline is scheduled
-      // before anything the arrival round may schedule (plan-boundary
-      // events often land exactly on a deadline), and the next arrival is
-      // staged before the round runs.
-      sim.schedule_at(job->deadline, [&cluster, &sim, &st, &acct, job] {
-        cluster.on_deadline(job);
-        GE_CHECK(job->settled, "deadline event left the job unsettled");
-        st->retired.emplace(job->id, *job);
-        st->store.retire(job, sim.now());
-        while (!st->retired.empty() &&
-               st->retired.begin()->first == st->next_account) {
-          acct.account(st->retired.begin()->second);
-          st->retired.erase(st->retired.begin());
-          ++st->next_account;
-        }
-      });
-      stage_next();
-      if (trace_buf != nullptr) {
-        trace_arrival(*trace_buf, *job);
-      }
-      cluster.on_job_arrival(job);
-    };
-    stage_next();  // first arrival gets seq 1, like the materialised path
   }
+  // The quarantine must outlast every scheduler-side reference to a settled
+  // job.  The GE engine purges settled pointers from its waiting queue and
+  // EDF caches at the next round, and the quantum chain bounds the round
+  // gap; two quanta leave generous slack.
+  StreamState st(2.0 * cfg.quantum + 1e-3, cfg, trace);
+  std::function<void()> release_staged;
+  const auto stage_next = [&sim, &st, &release_staged] {
+    if (st.stage()) {
+      sim.schedule_keyed(st.staged->arrival, 2 * st.staged_count - 1,
+                         [&release_staged] { release_staged(); });
+    }
+  };
+  release_staged = [&cluster, &sim, &st, &stage_next, &acct, trace_buf] {
+    st.store.reclaim(sim.now());
+    workload::Job* job = st.store.acquire(*st.staged);
+    const std::uint64_t k = st.staged_count;
+    st.staged.reset();
+    sim.schedule_keyed(job->deadline, 2 * k, [&cluster, &sim, &st, &acct, job, k] {
+      cluster.on_deadline(job);
+      GE_CHECK(job->settled, "deadline event left the job unsettled");
+      st.retired.emplace(k, *job);
+      st.store.retire(job, sim.now());
+      while (!st.retired.empty() && st.retired.begin()->first == st.next_account) {
+        acct.account(st.retired.begin()->second);
+        st.retired.erase(st.retired.begin());
+        ++st.next_account;
+      }
+    });
+    stage_next();
+    if (trace_buf != nullptr) {
+      obs::TraceEvent ev;
+      ev.type = obs::TraceEventType::kArrival;
+      ev.t = job->arrival;
+      ev.job = static_cast<std::int64_t>(job->id);
+      ev.a = job->demand;
+      ev.b = job->deadline;
+      ev.c = static_cast<double>(job->tenant);
+      trace_buf->push(ev);
+    }
+    cluster.on_job_arrival(job);
+  };
+  stage_next();
 
   schedule_control_events(cfg, cluster, sim, timeline);
   const double horizon = run_horizon(cfg);
@@ -608,18 +605,11 @@ RunResult run_simulation_impl(const ExperimentConfig& cfg,
     cluster.finish();
   }
 
-  if (trace != nullptr) {
-    acct.responses.reserve(jobs.size());
-    for (const workload::Job& job : jobs) {
-      acct.account(job);
-    }
-  } else {
-    // Everything released must have retired (every deadline precedes the
-    // horizon) and drained through the reorder buffer in id order.
-    GE_CHECK(!st->staged.has_value(), "staged arrival never released");
-    GE_CHECK(st->retired.empty(), "retired jobs stuck in the reorder buffer");
-    GE_CHECK(st->store.in_flight() == 0, "jobs still in flight after drain");
-  }
+  // Everything released must have retired (every deadline precedes the
+  // horizon) and drained through the reorder buffer in release order.
+  GE_CHECK(!st.staged.has_value(), "staged arrival never released");
+  GE_CHECK(st.retired.empty(), "retired jobs stuck in the reorder buffer");
+  GE_CHECK(st.store.in_flight() == 0, "jobs still in flight after drain");
   finalize_results(cfg, pm, cluster, acct, horizon, sim.now(), result);
 
   if (watchdog != nullptr) {
@@ -649,15 +639,15 @@ RunResult run_simulation_impl(const ExperimentConfig& cfg,
     reg.histogram("run.quality",
                   {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}, "ratio")
         .observe(result.quality);
-    if (st != nullptr) {
-      // Streaming-only memory gauges; the non-streaming metric schema stays
-      // byte-identical.  Peaks merge with kMax across tasks.
+    if (trace == nullptr) {
+      // Memory gauges of generator-fed runs only, so the metric schema of
+      // trace-fed runs stays byte-identical.  Peaks merge with kMax.
       reg.gauge("stream.peak_in_flight", "jobs", obs::Gauge::Merge::kMax)
-          .set(static_cast<double>(st->store.peak_in_flight()));
+          .set(static_cast<double>(st.store.peak_in_flight()));
       reg.gauge("stream.arena_slots", "jobs", obs::Gauge::Merge::kMax)
-          .set(static_cast<double>(st->store.capacity()));
+          .set(static_cast<double>(st.store.capacity()));
       reg.gauge("stream.arena_bytes", "bytes", obs::Gauge::Merge::kMax)
-          .set(static_cast<double>(st->store.memory_bytes()));
+          .set(static_cast<double>(st.store.memory_bytes()));
       reg.gauge("sim.peak_pending_events", "events", obs::Gauge::Merge::kMax)
           .set(static_cast<double>(sim.peak_pending_events()));
     }
@@ -725,16 +715,6 @@ RunResult run_simulation_stream(const ExperimentConfig& cfg,
                                 const SchedulerSpec& spec, Timeline* timeline,
                                 obs::RunTelemetry* telemetry) {
   return run_simulation_impl(cfg, spec, nullptr, timeline, telemetry);
-}
-
-RunResult run_simulation(const ExperimentConfig& cfg, const SchedulerSpec& spec,
-                         const workload::Trace& trace) {
-  return run_simulation(cfg, spec, trace, nullptr);
-}
-
-RunResult run_simulation(const ExperimentConfig& cfg, const SchedulerSpec& spec,
-                         const workload::Trace& trace, Timeline* timeline) {
-  return run_simulation(cfg, spec, trace, timeline, nullptr);
 }
 
 RunResult run_simulation(const ExperimentConfig& cfg, const SchedulerSpec& spec,

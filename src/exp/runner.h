@@ -1,11 +1,14 @@
 // Simulation runner: wires workload -> scheduler -> server -> metrics and
 // executes one experiment end to end.
 //
-// The workload is materialised as a Trace up front so that every scheduler
-// compared at the same sweep point sees byte-identical randomness.  The run
-// releases arrivals for `duration` seconds, drains until every released job
-// settles (each job has a deadline event, so the drain is bounded by the
-// deadline window), and then aggregates the paper's metrics.
+// The jobs come from a Trace shared by every scheduler compared at one sweep
+// point, so they all see byte-identical randomness, or straight from the
+// workload generator, which draws the same jobs for the same cfg; a serial
+// run releases either through one job pipeline (docs/DESIGN.md, "Streaming
+// core").  The run releases arrivals for `duration` seconds, drains until
+// every released job settles (each job has a deadline event, so the drain
+// is bounded by the deadline window), and then aggregates the paper's
+// metrics.
 #pragma once
 
 #include <cstdint>
@@ -113,39 +116,33 @@ struct RunResult {
   std::vector<TenantRunResult> tenants;
 };
 
-// Runs the scheduler on a fresh synthetic trace derived from cfg.  When
-// cfg.stream is set, forwards to run_simulation_stream (no materialised
-// trace).
+// Runs the scheduler on the synthetic workload derived from cfg: through
+// run_simulation_stream when cfg.stream is set, else on a trace generated
+// up front (the input the sharded path needs).
 RunResult run_simulation(const ExperimentConfig& cfg, const SchedulerSpec& spec);
 
-// Streaming replay: generates and releases jobs on the fly from a JobStore
-// arena instead of materialising the trace, so resident memory tracks jobs
-// in flight rather than jobs ever released (10^6+-job runs in a flat RSS).
-// Results are bit-identical to the materialised path on the same cfg (the
-// fuzz suite pins this); cfg.max_jobs bounds the released-job count.
+// Optional outputs of the runs below.  A non-null `timeline` samples the
+// state every `timeline->interval` seconds (interval must be positive).  A
+// non-null `telemetry` records metrics and, if telemetry->want_trace, trace
+// events; callers (the experiment engine) merge them across runs in task
+// order so output stays deterministic.  See docs/OBSERVABILITY.md.
 struct Timeline;
+
+// Generator-fed replay: draws each job as the previous one is released, so
+// resident memory tracks jobs in flight (10^6+-job runs in a flat RSS).
+// Results are bit-identical to replaying the trace run_simulation(cfg, spec)
+// generates, except that only these runs report the stream.* and
+// sim.peak_pending_events gauges; cfg.max_jobs caps the released jobs.
 RunResult run_simulation_stream(const ExperimentConfig& cfg,
                                 const SchedulerSpec& spec,
                                 Timeline* timeline = nullptr,
                                 obs::RunTelemetry* telemetry = nullptr);
 
-// Runs the scheduler on a caller-provided trace (shared across schedulers).
+// Runs the scheduler on a caller-provided trace (cfg.stream must be unset).
+// The whole trace is released; cfg.duration still sets the run horizon.
 RunResult run_simulation(const ExperimentConfig& cfg, const SchedulerSpec& spec,
-                         const workload::Trace& trace);
-
-// As above, additionally sampling a state timeline every
-// `timeline->interval` seconds into `timeline` (interval must be positive).
-struct Timeline;
-RunResult run_simulation(const ExperimentConfig& cfg, const SchedulerSpec& spec,
-                         const workload::Trace& trace, Timeline* timeline);
-
-// As above, additionally recording telemetry (metrics and, if
-// telemetry->want_trace, trace events) into `telemetry`.  Either pointer may
-// be null.  The registry and buffer are filled per run; callers (the
-// experiment engine) merge them across runs in task order so output stays
-// deterministic.  See docs/OBSERVABILITY.md for the schema.
-RunResult run_simulation(const ExperimentConfig& cfg, const SchedulerSpec& spec,
-                         const workload::Trace& trace, Timeline* timeline,
-                         obs::RunTelemetry* telemetry);
+                         const workload::Trace& trace,
+                         Timeline* timeline = nullptr,
+                         obs::RunTelemetry* telemetry = nullptr);
 
 }  // namespace ge::exp

@@ -2,10 +2,11 @@
 // keyed by (time, sequence number), O(log n) push/pop.
 //
 // Ordering contract: events pop in non-decreasing time order, ties broken by
-// scheduling order (a per-queue monotone sequence number).  (time, seq) is a
-// total order, so the pop sequence -- and with it every simulation result --
-// is a pure function of the push sequence.  tests/test_sim.cpp and the
-// reference-model check in tests/test_kernel_equivalence.cpp pin it.
+// a sequence number: push() draws it from a per-queue monotone counter, and
+// push_with_seq() takes it from the caller.  (time, seq) is a total order,
+// so the pop sequence -- and with it every simulation result -- is a pure
+// function of the pushed keys.  tests/test_sim.cpp and the reference-model
+// check in tests/test_kernel_equivalence.cpp pin it.
 //
 // Cancellation is lazy: a cancelled event is marked dead in the slot table
 // and its entry is dropped when it surfaces at the heap top.
@@ -45,13 +46,13 @@ class EventQueue {
   EventId push(double time, std::function<void()> action);
 
   // Inserts an event whose tie-break seq is supplied by the caller instead
-  // of the internal counter.  Sharded runs (see shard_exec.h) stamp every
-  // push from a run-wide scheme so that each queue's (time, seq) order is
-  // the serial run's order projected onto that queue.  Seqs must be unique
-  // per queue; the internal counter is not advanced, so a queue should see
-  // either push() or push_with_seq() for its whole life, never both.
+  // of the internal counter.  Seqs must be unique per queue.  Sharded runs
+  // (see shard_exec.h) stamp every push, on queues that see no push().  A
+  // serial run keys its job events below kFirstPushSeq, push()'s first seq,
+  // so they win every equal-time tie against push() events.
   EventId push_with_seq(double time, std::uint64_t seq,
                         std::function<void()> action);
+  static constexpr std::uint64_t kFirstPushSeq = std::uint64_t{1} << 63;
 
   // Cancels a pending event.  Returns false (and does nothing) if the id is
   // unknown, stale, already executed, or already cancelled.
@@ -76,9 +77,10 @@ class EventQueue {
   // --- introspection (tests, gauges) ---
   // Allocated slot-table entries; with recycling this tracks the peak
   // *concurrently pending* events, not the total ever scheduled.
+  // total_pushed() counts push() calls only.
   std::size_t slot_count() const noexcept { return slots_.size(); }
   std::size_t peak_live() const noexcept { return peak_live_; }
-  std::uint64_t total_pushed() const noexcept { return next_seq_ - 1; }
+  std::uint64_t total_pushed() const noexcept { return next_seq_ - kFirstPushSeq; }
 
  private:
   // One pending (or lazily-dead) event in the heap.  `seq` is the
@@ -123,7 +125,7 @@ class EventQueue {
   mutable std::vector<std::uint32_t> free_slots_;  // LIFO
   std::size_t live_count_ = 0;
   std::size_t peak_live_ = 0;
-  std::uint64_t next_seq_ = 1;  // tie-break; equals the legacy event id
+  std::uint64_t next_seq_ = kFirstPushSeq;  // push()'s tie-break counter
 };
 
 }  // namespace ge::sim

@@ -17,6 +17,15 @@ EventId Simulator::schedule_at(double time, std::function<void()> action) {
   return queue_.push(at, std::move(action));
 }
 
+EventId Simulator::schedule_keyed(double time, std::uint64_t seq,
+                                  std::function<void()> action) {
+  GE_CHECK(!stamp_mode_ && seq < EventQueue::kFirstPushSeq,
+           "schedule_keyed needs a queue out of stamp mode and a seq below "
+           "push()'s band");
+  GE_CHECK(time >= now_ - 1e-9, "cannot schedule an event in the past");
+  return queue_.push_with_seq(time < now_ ? now_ : time, seq, std::move(action));
+}
+
 EventId Simulator::schedule_in(double delay, std::function<void()> action) {
   GE_CHECK(delay >= -1e-9, "negative delay");
   return schedule_at(now_ + (delay > 0.0 ? delay : 0.0), std::move(action));

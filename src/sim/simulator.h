@@ -43,6 +43,13 @@ class Simulator {
   // Schedules `action` at absolute virtual time `time` (>= now).
   EventId schedule_at(double time, std::function<void()> action);
 
+  // As schedule_at, under the caller's unique tie-break key `seq` below
+  // EventQueue::kFirstPushSeq: at equal time keyed events pop in `seq` order
+  // ahead of every schedule_at event, whenever they were scheduled.  The
+  // runner keys job events this way.  Not allowed in stamp mode.
+  EventId schedule_keyed(double time, std::uint64_t seq,
+                         std::function<void()> action);
+
   // Schedules `action` `delay` seconds from now (delay >= 0).
   EventId schedule_in(double delay, std::function<void()> action);
 

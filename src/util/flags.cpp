@@ -1,25 +1,57 @@
 #include "util/flags.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 
 namespace ge::util {
 namespace {
 
-bool parse_bool(const std::string& text, bool fallback) {
+// Prints "<program>: <message> (see docs/CLI.md)" and exits with status 2:
+// the one way a tool rejects its command line.
+[[noreturn]] void usage_error(std::string_view program, const std::string& message) {
+  std::fprintf(stderr, "%.*s: %s (see docs/CLI.md)\n",
+               static_cast<int>(program.size()), program.data(), message.c_str());
+  std::exit(2);
+}
+
+// Parses all of `text`, the value of --name, as a T.  Empty text, trailing
+// characters and values out of T's range are usage errors.
+template <typename T>
+T parse_number(std::string_view program, std::string_view name,
+               std::string_view text, const char* expected) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end) {
+    usage_error(program, "--" + std::string(name) + ": '" + std::string(text) +
+                             "' is not " + expected);
+  }
+  return value;
+}
+
+// Parses `text`, the value of --name, as a boolean; an empty value (a bare
+// switch) is true and anything unrecognised is a usage error.
+bool parse_bool(std::string_view program, std::string_view name,
+                std::string_view text) {
   if (text == "true" || text == "1" || text == "yes" || text == "on" || text.empty()) {
     return true;
   }
-  if (text == "false" || text == "0" || text == "no" || text == "off") {
-    return false;
+  if (text != "false" && text != "0" && text != "no" && text != "off") {
+    usage_error(program, "--" + std::string(name) + ": '" + std::string(text) +
+                             "' is not a boolean (true/false, yes/no, on/off, 1/0)");
   }
-  return fallback;
+  return false;
 }
 
 }  // namespace
 
 Flags::Flags(int argc, const char* const* argv) {
+  if (argc > 0) {
+    const std::string_view path = argv[0];
+    program_ = path.substr(path.find_last_of('/') + 1);
+  }
   for (int i = 1; i < argc; ++i) {
     std::string_view arg = argv[i];
     if (arg.size() < 3 || arg.substr(0, 2) != "--") {
@@ -74,10 +106,7 @@ void Flags::exit_on_unknown(std::string_view program) const {
   for (const std::string& name : names) {
     list += (list.empty() ? "--" : ", --") + name;
   }
-  std::fprintf(stderr, "%.*s: unknown flag%s %s (see docs/CLI.md)\n",
-               static_cast<int>(program.size()), program.data(),
-               names.size() > 1 ? "s" : "", list.c_str());
-  std::exit(2);
+  usage_error(program, (names.size() > 1 ? "unknown flags " : "unknown flag ") + list);
 }
 
 bool Flags::has(std::string_view name) const { return find(name).has_value(); }
@@ -92,7 +121,7 @@ double Flags::get_double(std::string_view name, double default_value) const {
   if (!v || v->empty()) {
     return default_value;
   }
-  return std::strtod(v->c_str(), nullptr);
+  return parse_number<double>(program_, name, *v, "a number");
 }
 
 std::int64_t Flags::get_int(std::string_view name, std::int64_t default_value) const {
@@ -100,7 +129,7 @@ std::int64_t Flags::get_int(std::string_view name, std::int64_t default_value) c
   if (!v || v->empty()) {
     return default_value;
   }
-  return std::strtoll(v->c_str(), nullptr, 10);
+  return parse_number<std::int64_t>(program_, name, *v, "an integer");
 }
 
 bool Flags::get_bool(std::string_view name, bool default_value) const {
@@ -108,7 +137,7 @@ bool Flags::get_bool(std::string_view name, bool default_value) const {
   if (!v) {
     return default_value;
   }
-  return parse_bool(*v, default_value);
+  return parse_bool(program_, name, *v);
 }
 
 std::vector<double> Flags::get_double_list(std::string_view name,
@@ -118,14 +147,15 @@ std::vector<double> Flags::get_double_list(std::string_view name,
     return default_value;
   }
   std::vector<double> out;
-  const std::string& text = *v;
+  const std::string_view text = *v;
   std::size_t pos = 0;
   while (pos < text.size()) {
     std::size_t comma = text.find(',', pos);
-    if (comma == std::string::npos) {
+    if (comma == std::string_view::npos) {
       comma = text.size();
     }
-    out.push_back(std::strtod(text.substr(pos, comma - pos).c_str(), nullptr));
+    out.push_back(parse_number<double>(program_, name, text.substr(pos, comma - pos),
+                                       "a comma-separated list of numbers"));
     pos = comma + 1;
   }
   return out;

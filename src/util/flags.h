@@ -1,7 +1,10 @@
 // Minimal command-line flag parser for the bench/example binaries.
 //
 // Supports --name value and --name=value forms plus typed accessors with
-// defaults.  Every name a getter asks for is recorded; unknown() lists the
+// defaults.  A typed accessor parses the whole value: a malformed one
+// ("abc", "1e3" for an integer, "1,,2" for a list, "TRUE" for a boolean) is
+// a usage error that names the flag and exits with status 2, like an
+// unknown flag.  Every name a getter asks for is recorded; unknown() lists the
 // given flags nobody asked for, so a tool that reads all of its flags up
 // front can reject a typo or a removed flag instead of ignoring it.  Others
 // tolerate them (google-benchmark binaries share argv with their own flags).
@@ -49,6 +52,7 @@ class Flags {
 
   std::vector<std::pair<std::string, std::string>> values_;
   std::vector<std::string> positional_;
+  std::string program_;  // argv[0] without its directory, for usage errors
   mutable std::set<std::string, std::less<>> asked_;
 };
 

@@ -1,11 +1,12 @@
 // Arena/pool storage for in-flight jobs (the streaming replay core).
 //
-// The non-streaming path materialises the whole workload as one
-// std::vector<Job> before the run starts -- simple, but memory grows with
-// the *total* job count, which rules out 10^6..10^8-job replays.  JobStore
-// instead hands out pointer-stable slots from slab allocations and recycles
-// the slot of every *retired* (settled and accounted) job, so resident
-// memory tracks the number of jobs in flight, not the number ever seen.
+// Every serial run releases its jobs into a JobStore, whether they are drawn
+// from the workload generator or read from a trace.  A per-run copy of the
+// whole workload would grow with the *total* job count, which rules out
+// 10^6..10^8-job replays.  JobStore instead hands out pointer-stable slots
+// from slab allocations and recycles the slot of every *retired* (settled
+// and accounted) job, so resident memory tracks the number of jobs in
+// flight, not the number ever seen.
 //
 // Pointer stability: jobs are allocated in fixed-size slabs that are never
 // moved or freed while the store lives, so a Job* stays valid from acquire()

@@ -122,6 +122,44 @@ TEST(EventQueueContract, RecycledSlotsKeepHandlesDistinct) {
   EXPECT_TRUE(q.cancel(second));
 }
 
+TEST(EventQueueContract, JobBandSeqsPopAheadOfPushedEvents) {
+  // Seqs below kFirstPushSeq (the runner's job band) win every equal-time
+  // tie against push() events, and order among themselves by seq, whichever
+  // was pushed first; push()'s counter ignores them.
+  EventQueue q;
+  std::vector<int> order;
+  q.push(1.0, [&] { order.push_back(10); });
+  q.push_with_seq(1.0, 4, [&] { order.push_back(4); });
+  q.push(1.0, [&] { order.push_back(11); });
+  q.push_with_seq(1.0, 1, [&] { order.push_back(1); });
+  q.push_with_seq(0.5, 9, [&] { order.push_back(9); });
+  q.push_with_seq(1.0, 3, [&] { order.push_back(3); });
+  EXPECT_EQ(q.total_pushed(), 2u);
+  while (!q.empty()) {
+    q.pop().action();
+  }
+  EXPECT_EQ(order, (std::vector<int>{9, 1, 3, 4, 10, 11}));
+  EXPECT_EQ(q.total_pushed(), 2u);
+}
+
+TEST(Simulator, KeyedEventsTieBreakAheadOfScheduledOnes) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(1.0, [&] {
+    order.push_back(0);
+    // Keyed while an equal-time schedule_at event is already pending.
+    sim.schedule_keyed(2.0, 2, [&] { order.push_back(2); });
+  });
+  sim.schedule_at(2.0, [&] { order.push_back(3); });
+  sim.schedule_keyed(2.0, 1, [&] { order.push_back(1); });
+  sim.run_until(2.0);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_DEATH(sim.schedule_keyed(3.0, EventQueue::kFirstPushSeq, [] {}),
+               "seq below");
+  sim.set_stamp_mode(true);
+  EXPECT_DEATH(sim.schedule_keyed(3.0, 5, [] {}), "out of stamp mode");
+}
+
 TEST(Simulator, ClockAdvancesWithEvents) {
   Simulator sim;
   double seen = -1.0;

@@ -281,6 +281,46 @@ TEST(Flags, ExitOnUnknownNamesTheFlagsAndExitsTwo) {
   flags.exit_on_unknown("prog");  // everything asked for: returns
 }
 
+TEST(Flags, NumericValuesParseWhole) {
+  const char* argv[] = {"prog", "--rate=-2.5e1", "--seed", "-7",
+                        "--rates", "1e2,0.5,-3"};
+  const Flags flags(6, argv);
+  EXPECT_EQ(flags.get_double("rate", 0.0), -25.0);
+  EXPECT_EQ(flags.get_int("seed", 0), -7);
+  EXPECT_EQ(flags.get_double_list("rates", {}),
+            (std::vector<double>{100.0, 0.5, -3.0}));
+}
+
+TEST(Flags, MalformedNumbersNameTheFlagAndExitTwo) {
+  // A prefix parse would run on the wrong value: rate 0 for --rates abc,
+  // one job for --max-jobs 1e3.
+  const char* argv[] = {"./bin/prog", "--rates",   "abc",  "--max-jobs",
+                        "1e3",        "--seconds", "5s",   "--list=1,,2",
+                        "--seed",     "99999999999999999999"};
+  const Flags flags(10, argv);
+  EXPECT_EXIT(flags.get_double_list("rates", {}), ::testing::ExitedWithCode(2),
+              "prog: --rates: 'abc' is not a comma-separated list of numbers "
+              "\\(see docs/CLI.md\\)");
+  EXPECT_EXIT(flags.get_int("max-jobs", 0), ::testing::ExitedWithCode(2),
+              "prog: --max-jobs: '1e3' is not an integer");
+  EXPECT_EXIT(flags.get_double("seconds", 0.0), ::testing::ExitedWithCode(2),
+              "prog: --seconds: '5s' is not a number");
+  EXPECT_EXIT(flags.get_double_list("list", {}), ::testing::ExitedWithCode(2),
+              "prog: --list: '' is not");
+  EXPECT_EXIT(flags.get_int("seed", 0), ::testing::ExitedWithCode(2),
+              "prog: --seed: '99999999999999999999' is not an integer");
+}
+
+TEST(Flags, MalformedBooleanNamesTheFlagAndExitsTwo) {
+  // Falling back to the default would answer a different question.
+  const char* argv[] = {"prog", "--json", "TRUE", "--stream=maybe"};
+  const Flags flags(4, argv);
+  EXPECT_EXIT(flags.get_bool("json", false), ::testing::ExitedWithCode(2),
+              "prog: --json: 'TRUE' is not a boolean");
+  EXPECT_EXIT(flags.get_bool("stream", true), ::testing::ExitedWithCode(2),
+              "prog: --stream: 'maybe' is not a boolean");
+}
+
 TEST(Flags, PositionalArguments) {
   const char* argv[] = {"prog", "file.csv", "--x=1", "other"};
   Flags flags(4, argv);

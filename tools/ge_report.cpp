@@ -44,7 +44,6 @@
 #include "obs/analysis/dashboard.h"
 #include "obs/analysis/report.h"
 #include "obs/analysis/trace_reader.h"
-#include "util/check.h"
 #include "util/flags.h"
 
 int main(int argc, char** argv) {
@@ -107,8 +106,11 @@ int main(int argc, char** argv) {
   double metrics_energy_j = -1.0;
   if (!metrics_path.empty()) {
     std::ifstream metrics_in(metrics_path);
-    GE_CHECK(metrics_in.good(),
-             "cannot open --metrics input file: " + metrics_path);
+    if (!metrics_in.good()) {
+      std::fprintf(stderr, "ge_report: cannot open --metrics input file: %s\n",
+                   metrics_path.c_str());
+      return 2;
+    }
     const obs::analysis::MetricsValues metrics =
         obs::analysis::read_metrics_json(metrics_in);
     metrics_energy_j = metrics.get("energy.total_j", -1.0);
